@@ -229,12 +229,19 @@ def _bench_task(args: tuple[str, GenParams, float]) -> Report:
 def run_grid(spec: GridSpec, workers: Optional[int] = None) -> list[Report]:
     """Generate and analyze the whole grid, in its deterministic order.
 
-    Parallel workers (default from the FUNNELKIT_WORKERS variable) only
-    spread instances over processes; the report order is always the grid
-    order, so output files do not depend on scheduling.
+    Parallel workers (default from the FUNNELKIT_WORKERS variable, which
+    must be a positive integer) only spread instances over processes; the
+    report order is always the grid order, so output files do not depend on
+    scheduling.
     """
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
     tasks = [
         (instance, params, spec.time_limit_ms) for instance, params in spec.instances()
     ]

@@ -183,7 +183,10 @@ def cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
 
-    reports = run_grid(spec)
+    try:
+        reports = run_grid(spec)
+    except (ValueError, NotEnoughSlots) as exc:
+        raise InputError(str(exc)) from exc
     csv_text = write_csv(reports, with_times=args.times)
     if args.out is not None:
         _write_text(args.out, csv_text)

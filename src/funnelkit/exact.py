@@ -20,15 +20,25 @@ funnel and the labeling is total; this is asserted at every leaf.
 
 Nodes are pruned against the best known solution using a certificate
 packing: arc-disjoint obstructions each force one deletion, so their count
-lower-bounds the remaining work.
+lower-bounds the remaining work.  The live graph is a ``bytearray`` mask over
+arc ids (an arc's id is its position in the sorted ``dag.arcs``); a packing
+works on copies of the mask and of the live degrees, so a vertex with too
+few free arcs is passed over without a scan.  A vertex short of a fork has
+at most one free out-arc, so the forward search from a vertex is a walk.
+When a walk fails, every vertex on it has at most one free out-arc, leading
+on along the walk to a dead end.  Free arcs only disappear during a packing,
+so none of those vertices can ever reach a fork again: the packing marks
+them dead and later walks stop at them.  That keeps the count of a plain
+search and makes failing walks linear work in total.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import Callable, Optional
 
 from .analysis import funnel_labeling, is_funnel_degree
@@ -41,6 +51,39 @@ class TooLarge(Exception):
     """Instance exceeds a hard cap of an exponential-time helper."""
 
 
+class _ArcIndex:
+    """Flat arc-id tables of one Dag: tail, head, out- and in-arc ranges.
+
+    ``dag.arcs`` is sorted, so the out-arcs of ``u`` are the ids
+    ``out_off[u]:out_off[u + 1]`` in head order; ``in_ids`` holds the ids
+    stably sorted by head, so the in-arcs of ``v`` come in tail order.
+    """
+
+    __slots__ = ("topo", "tails", "heads", "out_off", "in_off", "in_ids")
+
+    def __init__(self, dag: Dag):
+        arcs, vertices = dag.arcs, dag.vertices()
+        self.topo = dag.topo_order
+        # Lists of the ints already inside dag.arcs: a pointer per arc, and
+        # the fastest to index.  The derived tables are compact arrays.
+        self.tails = [u for u, _ in arcs]
+        self.heads = [v for _, v in arcs]
+        self.out_off = array("i", accumulate(map(dag.out_degree, vertices), initial=0))
+        self.in_off = array("i", accumulate(map(dag.in_degree, vertices), initial=0))
+        # Counting sort by head; ids arrive in increasing order, so it is stable.
+        self.in_ids = array("i", bytes(4 * len(arcs)))
+        fill = self.in_off.tolist()
+        for a, v in enumerate(self.heads):
+            self.in_ids[fill[v]] = a
+            fill[v] += 1
+
+    def in_arcs(self, v: int) -> array:
+        return self.in_ids[self.in_off[v] : self.in_off[v + 1]]
+
+    def out_arcs(self, u: int) -> range:
+        return range(self.out_off[u], self.out_off[u + 1])
+
+
 def lower_bound(dag: Dag) -> int:
     """Greedy packing of arc-disjoint obstructions; never exceeds the distance.
 
@@ -49,64 +92,56 @@ def lower_bound(dag: Dag) -> int:
     hit consumes the two in-arcs, the connecting path and the two out-arcs.
     Zero exactly on funnels.
     """
-    return _pack_obstructions(
-        dag.vertex_count,
-        dag.topo_order,
-        dag.in_neighbors,
-        dag.out_neighbors,
-        set(dag.arcs),
+    return _pack(
+        _ArcIndex(dag),
+        bytearray(b"\x01") * dag.arc_count,
+        list(map(dag.in_degree, dag.vertices())),
+        list(map(dag.out_degree, dag.vertices())),
     )
 
 
-def _pack_obstructions(n, topo, in_neighbors, out_neighbors, alive) -> int:
-    free = alive.copy()
+def _pack(index: _ArcIndex, alive, live_in, live_out) -> int:
+    """Greedy obstruction count over the arcs set in ``alive``.
+
+    ``live_in``/``live_out`` are the live degrees.  A hit takes the first two
+    free in-arcs and out-arcs in id order, so the count depends only on the
+    graph and the mask.
+    """
+    tails, heads, out_off = index.tails, index.heads, index.out_off
+    free = bytearray(alive)
+    free_in = list(live_in)
+    free_out = list(live_out)
+    dead = bytearray(len(free_in))  # vertices that can never reach a fork
     count = 0
-    for v in topo:
-        while True:
-            ins = [u for u in in_neighbors(v) if (u, v) in free]
-            if len(ins) < 2:
+    for v in index.topo:
+        while free_in[v] >= 2 and not dead[v]:
+            # Short of a fork a vertex has at most one free out-arc, so the
+            # forward search is a walk along a single path.
+            x, used = v, []
+            while free_out[x] == 1 and not dead[x]:
+                for a in range(out_off[x], out_off[x + 1]):
+                    if free[a]:
+                        break
+                used.append(a)
+                x = heads[a]
+            if free_out[x] < 2:
+                dead[v] = 1
+                for a in used:
+                    dead[heads[a]] = 1
                 break
-            hit = _forward_fork(v, out_neighbors, free)
-            if hit is None:
-                break
-            path_arcs, fork, outs = hit
-            free.difference_update(path_arcs)
-            free.discard((ins[0], v))
-            free.discard((ins[1], v))
-            free.discard((fork, outs[0]))
-            free.discard((fork, outs[1]))
+            for ids in (index.in_arcs(v), index.out_arcs(x)):
+                end = len(used) + 2
+                for a in ids:
+                    if free[a]:
+                        used.append(a)
+                        if len(used) == end:
+                            break
+            for a in used:
+                free[a] = 0
+                free_out[tails[a]] -= 1
+                free_in[heads[a]] -= 1
             count += 1
     return count
-
-
-def _forward_fork(start, out_neighbors, free):
-    """BFS over free arcs to the nearest vertex with two free out-arcs."""
-
-    def free_outs(x):
-        return [w for w in out_neighbors(x) if (x, w) in free]
-
-    outs = free_outs(start)
-    if len(outs) >= 2:
-        return [], start, outs
-    parent: dict[int, int] = {}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for w in out_neighbors(x):
-            if (x, w) not in free or w in parent:
-                continue
-            parent[w] = x
-            outs = free_outs(w)
-            # The arc into w is consumed by the path, so discount it if the
-            # path would reuse it; out-arcs never coincide with in-arcs.
-            if len(outs) >= 2:
-                hops = [w]
-                while hops[-1] != start:
-                    hops.append(parent[hops[-1]])
-                hops.reverse()
-                return list(zip(hops, hops[1:])), w, outs
-            queue.append(w)
-    return None
 
 
 @dataclass
@@ -145,11 +180,12 @@ class Solver:
         self.dag = dag
         self.stats = SolverStats()
         self._labels: list[Optional[Label]] = [None] * dag.vertex_count
-        self._alive: set[Arc] = set(dag.arcs)
+        self._index = _ArcIndex(dag)
+        self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
         self._live_in = [dag.in_degree(v) for v in dag.vertices()]
         self._live_out = [dag.out_degree(v) for v in dag.vertices()]
         self._solution: list[Arc] = []
-        self._trail: list[tuple] = []
+        self._trail: list[int] = []  # arc id a >= 0, or ~v for a label of v
         self._trace = trace
         self._use_rr1 = use_rr1
         self._deadline = (
@@ -182,32 +218,39 @@ class Solver:
 
     def _set_label(self, v: int, lab: Label) -> None:
         self._labels[v] = lab
-        self._trail.append(("L", v))
+        self._trail.append(~v)
 
-    def _delete_arc(self, u: int, v: int) -> None:
-        self._alive.remove((u, v))
-        self._live_out[u] -= 1
-        self._live_in[v] -= 1
-        self._solution.append((u, v))
-        self._trail.append(("A", u, v))
+    def _delete_arc(self, a: int) -> None:
+        self._alive[a] = 0
+        self._live_out[self._index.tails[a]] -= 1
+        self._live_in[self._index.heads[a]] -= 1
+        self._solution.append(self.dag.arcs[a])
+        self._trail.append(a)
 
     def _undo_to(self, mark: int) -> None:
         while len(self._trail) > mark:
-            entry = self._trail.pop()
-            if entry[0] == "L":
-                self._labels[entry[1]] = None
+            a = self._trail.pop()
+            if a < 0:
+                self._labels[~a] = None
             else:
-                _, u, v = entry
-                self._alive.add((u, v))
-                self._live_out[u] += 1
-                self._live_in[v] += 1
+                self._alive[a] = 1
+                self._live_out[self._index.tails[a]] += 1
+                self._live_in[self._index.heads[a]] += 1
                 self._solution.pop()
 
+    def _live_in_arcs(self, v: int) -> list[int]:
+        return [a for a in self._index.in_arcs(v) if self._alive[a]]
+
+    def _live_out_arcs(self, v: int) -> list[int]:
+        return [a for a in self._index.out_arcs(v) if self._alive[a]]
+
     def _live_in_neighbors(self, v: int) -> list[int]:
-        return [u for u in self.dag.in_neighbors(v) if (u, v) in self._alive]
+        tails, alive = self._index.tails, self._alive
+        return [tails[a] for a in self._index.in_arcs(v) if alive[a]]
 
     def _live_out_neighbors(self, v: int) -> list[int]:
-        return [w for w in self.dag.out_neighbors(v) if (v, w) in self._alive]
+        heads, alive = self._index.heads, self._alive
+        return [heads[a] for a in self._index.out_arcs(v) if alive[a]]
 
     # ---- reduction rules ----
 
@@ -237,30 +280,28 @@ class Solver:
                 return Label.MERGE
         return None
 
-    def _rule_satisfy(self, v: int) -> list[Arc]:
-        """Arcs around the labeled vertex v that no optimal completion keeps.
+    def _rule_satisfy(self, v: int) -> list[int]:
+        """Ids of arcs around the labeled vertex v no optimal completion keeps.
 
         A Merge-to-Fork arc can never stay, whatever happens later, so those
         go unconditionally; with a same-label neighbor on the constrained
         side everything else on that side goes too (smallest id kept).
         """
-        lab = self._labels[v]
-        doomed: list[Arc] = []
+        labels, tails, heads = self._labels, self._index.tails, self._index.heads
+        lab = labels[v]
         if lab is Label.FORK:
-            ins = self._live_in_neighbors(v)
-            keep = next((u for u in ins if self._labels[u] is Label.FORK), None)
+            ins = self._live_in_arcs(v)
+            keep = next((a for a in ins if labels[tails[a]] is Label.FORK), None)
             if keep is not None:
-                doomed = [(u, v) for u in ins if u != keep]
-            else:
-                doomed = [(u, v) for u in ins if self._labels[u] is Label.MERGE]
-        elif lab is Label.MERGE:
-            outs = self._live_out_neighbors(v)
-            keep = next((w for w in outs if self._labels[w] is Label.MERGE), None)
+                return [a for a in ins if a != keep]
+            return [a for a in ins if labels[tails[a]] is Label.MERGE]
+        if lab is Label.MERGE:
+            outs = self._live_out_arcs(v)
+            keep = next((a for a in outs if labels[heads[a]] is Label.MERGE), None)
             if keep is not None:
-                doomed = [(v, w) for w in outs if w != keep]
-            else:
-                doomed = [(v, w) for w in outs if self._labels[w] is Label.FORK]
-        return doomed
+                return [a for a in outs if a != keep]
+            return [a for a in outs if labels[heads[a]] is Label.FORK]
+        return []
 
     def _reduce(self, seeds) -> None:
         """Run both rules to a joint fixpoint, starting from ``seeds``."""
@@ -290,8 +331,9 @@ class Solver:
                 for w in self._live_out_neighbors(v):
                     wake(w)
                 continue
-            for u, w in self._rule_satisfy(v):
-                self._delete_arc(u, w)
+            for a in self._rule_satisfy(v):
+                u, w = self.dag.arcs[a]
+                self._delete_arc(a)
                 self.stats.rr2 += 1
                 self._say(f"rr2 {u}->{w}")
                 wake(u)
@@ -329,13 +371,7 @@ class Solver:
     # ---- search ----
 
     def _lower_bound_live(self) -> int:
-        return _pack_obstructions(
-            self.dag.vertex_count,
-            self.dag.topo_order,
-            self.dag.in_neighbors,
-            self.dag.out_neighbors,
-            self._alive,
-        )
+        return _pack(self._index, self._alive, self._live_in, self._live_out)
 
     def _check_leaf(self) -> None:
         # Completeness: with no rule or branch applicable, the labeling must
@@ -349,8 +385,8 @@ class Solver:
                 raise RuntimeError(f"leaf with unsatisfied fork {v}")
             if labels[v] is Label.MERGE and self._live_out[v] > 1:
                 raise RuntimeError(f"leaf with unsatisfied merge {v}")
-        for u, v in self._alive:
-            if labels[u] is Label.MERGE and labels[v] is Label.FORK:
+        for a, (u, v) in enumerate(self.dag.arcs):
+            if self._alive[a] and labels[u] is Label.MERGE and labels[v] is Label.FORK:
                 raise RuntimeError(f"leaf with live merge->fork arc ({u}, {v})")
 
     def _node(self, seeds) -> None:
@@ -385,18 +421,19 @@ class Solver:
         if cand is not None:
             v, side = cand
             if side == "in":
-                arcs = [(u, v) for u in self._live_in_neighbors(v)]
+                arcs, ends = self._live_in_arcs(v), self._index.tails
             else:
-                arcs = [(v, w) for w in self._live_out_neighbors(v)]
+                arcs, ends = self._live_out_arcs(v), self._index.heads
+            touched = sorted({v, *(ends[a] for a in arcs)})
             for kept in arcs:
                 mark = len(self._trail)
-                for arc in arcs:
-                    if arc != kept:
-                        self._delete_arc(*arc)
+                for a in arcs:
+                    if a != kept:
+                        self._delete_arc(a)
                 self.stats.br2 += 1
-                self._say(f"br2 {v} keep {kept[0]}->{kept[1]}")
-                touched = {x for arc in arcs for x in arc}
-                self._node(sorted(touched))
+                u, w = self.dag.arcs[kept]
+                self._say(f"br2 {v} keep {u}->{w}")
+                self._node(touched)
                 self._undo_to(mark)
                 if self.stats.timed_out:
                     return

@@ -194,6 +194,13 @@ class CnfFormula:
                 seen.add(var)
 
 
+def _dimacs_ints(tokens: list[str], line: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise InvalidFormula(f"non-integer token in {line!r}") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Read a DIMACS CNF file (``c`` comments, ``p cnf <n> <m>`` header)."""
     num_vars = None
@@ -207,9 +214,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise InvalidFormula(f"bad header {line!r}")
-            num_vars, num_clauses = int(fields[2]), int(fields[3])
+            num_vars, num_clauses = _dimacs_ints(fields[2:], line)
             continue
-        literals.extend(int(tok) for tok in line.split())
+        literals.extend(_dimacs_ints(line.split(), line))
     if num_vars is None:
         raise InvalidFormula("missing 'p cnf' header")
     clauses: list[tuple[int, ...]] = []

@@ -154,6 +154,15 @@ def test_generate_bad_cnf(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_cnf_non_integer_literal(tmp_path, capsys):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text("p cnf 3 1\n1 x 3 0\n")
+    assert main(["generate", "--cnf", str(cnf), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-integer" in err
+
+
 def test_generate_needs_some_source(capsys):
     assert main(["generate", "--out", "/tmp/never"]) == 2
     assert "--n or --cnf" in capsys.readouterr().err
@@ -195,6 +204,33 @@ def test_bench_unknown_grid_key(tmp_path, capsys):
     grid.write_text('{"sizes": [8]}')
     assert main(["bench", "--grid", str(grid)]) == 2
     assert "unknown grid keys" in capsys.readouterr().err
+
+
+def _bench_error(argv, capsys) -> str:
+    assert main(["bench", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_bench_density_out_of_range(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [8], "ps": [1.5], "ss": [1], "replicates": 1}')
+    assert "density" in _bench_error(["--grid", str(grid)], capsys)
+
+
+def test_bench_noise_beyond_free_slots(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [4], "ps": [0.5], "ss": [50], "replicates": 1}')
+    assert "slots" in _bench_error(["--grid", str(grid)], capsys)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bench_bad_worker_count(tmp_path, capsys, monkeypatch, value):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [8], "ps": [0.4], "ss": [1], "replicates": 1}')
+    monkeypatch.setenv("FUNNELKIT_WORKERS", value)
+    assert "FUNNELKIT_WORKERS" in _bench_error(["--grid", str(grid)], capsys)
 
 
 # ---- the installed entry point ----

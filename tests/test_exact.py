@@ -1,13 +1,20 @@
+from collections import deque
+
 import pytest
 
 from funnelkit import (
     Dag,
+    GenParams,
+    GridSpec,
     Solver,
     SplitMix64,
     TooLarge,
+    add_noise_arcs,
     brute_force_addf,
     delete_arcs,
+    derive_seed,
     extremal_funnel,
+    generate_planted_funnel,
     is_funnel_degree,
     lower_bound,
     solve_addf,
@@ -42,6 +49,13 @@ def test_lower_bound_counts_disjoint_obstructions():
     assert solve_addf(dag).distance == 2
 
 
+def test_lower_bound_uses_up_the_connecting_path():
+    # 0,1 -> 2 -> 3 -> 4..7 and 0 -> 3: the first obstruction's path arc
+    # (2, 3) must not count again as a second in-arc of 3.
+    dag = Dag(8, [(0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 7)])
+    assert lower_bound(dag) == 1 == brute_force_addf(dag).distance
+
+
 def test_lower_bound_never_exceeds_distance():
     rng = SplitMix64(404)
     for _ in range(150):
@@ -50,6 +64,104 @@ def test_lower_bound_never_exceeds_distance():
         hi = brute_force_addf(dag).distance
         assert 0 <= lo <= hi
         assert (lo == 0) == is_funnel_degree(dag)
+
+
+# ---- the packing kernel against the tuple-set greedy it replaced ----
+
+
+def _pack_obstructions(n, topo, in_neighbors, out_neighbors, alive) -> int:
+    """Reference: the original greedy packing over a set of arc tuples."""
+    free = alive.copy()
+    count = 0
+    for v in topo:
+        while True:
+            ins = [u for u in in_neighbors(v) if (u, v) in free]
+            if len(ins) < 2:
+                break
+            hit = _forward_fork(v, out_neighbors, free)
+            if hit is None:
+                break
+            path_arcs, fork, outs = hit
+            free.difference_update(path_arcs)
+            free.discard((ins[0], v))
+            free.discard((ins[1], v))
+            free.discard((fork, outs[0]))
+            free.discard((fork, outs[1]))
+            count += 1
+    return count
+
+
+def _forward_fork(start, out_neighbors, free):
+    """BFS over free arcs to the nearest vertex with two free out-arcs."""
+
+    def free_outs(x):
+        return [w for w in out_neighbors(x) if (x, w) in free]
+
+    outs = free_outs(start)
+    if len(outs) >= 2:
+        return [], start, outs
+    parent: dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w in out_neighbors(x):
+            if (x, w) not in free or w in parent:
+                continue
+            parent[w] = x
+            outs = free_outs(w)
+            if len(outs) >= 2:
+                hops = [w]
+                while hops[-1] != start:
+                    hops.append(parent[hops[-1]])
+                hops.reverse()
+                return list(zip(hops, hops[1:])), w, outs
+            queue.append(w)
+    return None
+
+
+def reference_bound(dag, alive=None) -> int:
+    """Reference packing over ``alive`` (default: every arc) in dag's topo order."""
+    return _pack_obstructions(
+        dag.vertex_count,
+        dag.topo_order,
+        dag.in_neighbors,
+        dag.out_neighbors,
+        set(dag.arcs) if alive is None else alive,
+    )
+
+
+def test_lower_bound_equals_reference_packing_on_random_dags():
+    rng = SplitMix64(2024)
+    for _ in range(200):
+        dag = random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
+        assert lower_bound(dag) == reference_bound(dag)
+
+
+def test_lower_bound_equals_reference_packing_on_a_hard_cell():
+    params = GenParams(n=250, p=0.15, s=125, seed=derive_seed(1, 0))
+    funnel, _ = generate_planted_funnel(params)
+    dag = add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
+    assert lower_bound(dag) == reference_bound(dag) == 66
+
+
+def test_solver_bound_on_random_live_masks():
+    # The solver's bound on a partly deleted graph equals the public bound on
+    # the graph without those arcs, the reference packing on the live arcs,
+    # and never exceeds the true remaining distance.  random_dag's arcs all
+    # run forward, so deleting some keeps the identity topological order and
+    # both packings scan the vertices alike.
+    rng = SplitMix64(77)
+    for _ in range(150):
+        dag = random_dag(rng, 3 + rng.below(6), 30 + rng.below(40))
+        dead = [a for a in range(dag.arc_count) if rng.below(100) < 30]
+        solver = Solver(dag, seed_with_approx=False)
+        for a in dead:
+            solver._delete_arc(a)
+        rest = delete_arcs(dag, [dag.arcs[a] for a in dead])
+        bound = solver._lower_bound_live()
+        assert bound == lower_bound(rest)
+        assert bound == reference_bound(dag, set(rest.arcs))
+        assert bound <= brute_force_addf(rest).distance
 
 
 # ---- branch and bound vs brute force ----
@@ -151,6 +263,34 @@ def test_arc_branch_explores_each_kept_arc():
         "br2 3 keep 2->3",
         "prune 2",
     ]
+
+
+def _desk_row(n, p, s, rep):
+    """The instance of default-grid row ``n{n}-p{p}-s{s}-r{rep}`` (grid seed 1)."""
+    for name, params in GridSpec(seed=1).instances():
+        if name == f"n{n}-p{p}-s{s}-r{rep}":
+            funnel, _ = generate_planted_funnel(params)
+            return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "row, distance, counters",
+    [
+        # (nodes, rr1, rr2, br1, br2, pruned, leaves), pinned from the
+        # tuple-set solver; any change to the search shows up here.
+        ((200, 0.85, 25, 2), 23, (45, 181, 571, 44, 0, 23, 0)),
+        ((200, 0.15, 25, 5), 17, (35, 193, 149, 34, 0, 18, 0)),
+    ],
+)
+def test_golden_search_statistics(row, distance, counters):
+    result = solve_addf(_desk_row(*row))
+    stats = result.stats
+    assert result.distance == distance
+    assert not stats.timed_out
+    assert (
+        stats.nodes, stats.rr1, stats.rr2, stats.br1, stats.br2, stats.pruned, stats.leaves
+    ) == counters
 
 
 def test_stats_are_populated():
