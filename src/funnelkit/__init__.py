@@ -14,7 +14,6 @@ from .analysis import (
     extremal_funnel,
     find_forbidden_witness,
     funnel_labeling,
-    is_funnel_by_path_enumeration,
     is_funnel_degree,
     is_funnel_private_arc,
     max_arc_bound,
@@ -33,8 +32,6 @@ from .exact import (
     ExactResult,
     Solver,
     SolverStats,
-    TooLarge,
-    brute_force_addf,
     lower_bound,
     solve_addf,
 )
@@ -49,7 +46,6 @@ from .generator import (
     generate_planted_funnel,
     parse_dimacs,
     reduce_3sat,
-    sat_oracle,
 )
 from .graph import (
     Arc,
@@ -70,6 +66,12 @@ from .graph import (
     topological_order,
 )
 from .labeling import Label, Labeling, PartialLabeling
+from .oracles import (
+    TooLarge,
+    brute_force_addf,
+    is_funnel_by_path_enumeration,
+    sat_oracle,
+)
 
 __version__ = "0.1.0"
 

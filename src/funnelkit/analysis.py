@@ -7,14 +7,24 @@ Equivalently again: the vertices split into a Fork part inducing an
 out-forest and a Merge part inducing an in-forest, with no Merge-to-Fork arc.
 The functions below implement the degree test, the path-count test, the
 certificate search and the canonical labeling; they all agree.
+
+:func:`doomed_arcs` is the one keep rule that the labeling check, the
+approximation's deletion set and the exact solver share.  A Fork with a Fork
+in-neighbor keeps the arc from the first one and dooms its other in-arcs; a
+Fork without one dooms its in-arcs from labeled vertices, all Merges.  Merge
+vertices mirror this on their out-arcs.  Under a total labeling nothing is
+doomed exactly when the three conditions hold: a Fork with two in-arcs dooms
+one, a Merge-to-Fork arc is doomed at its head, and a Fork whose one in-arc
+comes from a Fork dooms nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .graph import Arc, ArcSet, Dag
+from .graph import ArcSet, Dag
 from .labeling import Label, Labeling
 
 
@@ -93,35 +103,6 @@ def is_funnel_private_arc(dag: Dag) -> bool:
         )
     return not any(
         shared(u, v) and reach[u] and coreach[v] for u, v in dag.arcs
-    )
-
-
-def is_funnel_by_path_enumeration(dag: Dag, max_vertices: int = 12) -> bool:
-    """Brute-force reference check: enumerate every source-sink path.
-
-    Exponential; only meant as a test oracle, hence the small size cap.
-    """
-    if dag.vertex_count > max_vertices:
-        raise ValueError(f"path enumeration capped at {max_vertices} vertices")
-    paths: list[tuple[Arc, ...]] = []
-    for s in dag.vertices():
-        if dag.in_degree(s) > 0:
-            continue
-        stack: list[tuple[int, tuple[Arc, ...]]] = [(s, ())]
-        while stack:
-            v, arcs = stack.pop()
-            if dag.out_degree(v) == 0:
-                paths.append(arcs)
-                continue
-            for w in dag.out_neighbors(v):
-                stack.append((w, arcs + ((v, w),)))
-    count: dict[Arc, int] = {}
-    for arcs in paths:
-        for arc in arcs:
-            count[arc] = count.get(arc, 0) + 1
-    # Zero-arc paths are isolated vertices; they cannot violate anything.
-    return all(
-        any(count[arc] == 1 for arc in arcs) for arcs in paths if arcs
     )
 
 
@@ -208,23 +189,45 @@ def funnel_labeling(dag: Dag) -> Labeling:
     return labels
 
 
+def constrained_arcs(
+    dag: Dag, v: int, lab: Optional[Label]
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Ids of the arcs ``lab`` limits at ``v``, and the table of their far ends:
+    a Fork's in-arcs and their tails, a Merge's out-arcs and their heads."""
+    if lab is Label.FORK:
+        return dag.in_arcs(v), dag.tails
+    if lab is Label.MERGE:
+        return dag.out_arcs(v), dag.heads
+    return (), ()
+
+
+def doomed_arcs(
+    dag: Dag, v: int, labels: Sequence[Optional[Label]], alive: Sequence[int]
+) -> list[int]:
+    """Ids of the live arcs at ``v`` that the keep rule deletes, in id order.
+
+    The keep rule of the module docstring.  ``labels`` may be partial, and
+    ``alive`` is a mask over arc ids; an unlabeled vertex dooms nothing.
+    """
+    lab = labels[v]
+    ids, ends = constrained_arcs(dag, v, lab)
+    live = [a for a in ids if alive[a]]
+    for keep in live:
+        if labels[ends[keep]] is lab:
+            return [a for a in live if a != keep]
+    return [a for a in live if labels[ends[a]] is not None]
+
+
 def verify_funnel_labeling(dag: Dag, labeling: Labeling) -> bool:
     """Check the funnel-labeling conditions for a total labeling.
 
     Fork vertices need indegree <= 1, Merge vertices outdegree <= 1, and no
-    arc may run from a Merge vertex to a Fork vertex.  A total labeling
-    passing this check proves the DAG is a funnel.
+    arc may run from a Merge vertex to a Fork vertex; equivalently, no vertex
+    has :func:`doomed_arcs`.  Passing proves the DAG is a funnel.
     """
     labeling.require_total()
-    for v in dag.vertices():
-        if labeling[v] is Label.FORK and dag.in_degree(v) > 1:
-            return False
-        if labeling[v] is Label.MERGE and dag.out_degree(v) > 1:
-            return False
-    return not any(
-        labeling[u] is Label.MERGE and labeling[v] is Label.FORK
-        for u, v in dag.arcs
-    )
+    labels, alive = list(labeling), bytearray(b"\x01") * dag.arc_count
+    return not any(doomed_arcs(dag, v, labels, alive) for v in dag.vertices())
 
 
 def max_arc_bound(n: int) -> int:

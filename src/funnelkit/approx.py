@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Arc, ArcSet, Dag
+from .analysis import doomed_arcs
+from .graph import ArcSet, Dag
 from .labeling import Label, Labeling
 
 
@@ -38,25 +39,14 @@ def assign_labels_greedy(dag: Dag) -> Labeling:
 def arc_deletion_set(dag: Dag, labeling: Labeling) -> ArcSet:
     """Arcs that must go so ``labeling`` becomes a funnel labeling of the rest.
 
-    Every Fork vertex keeps at most one in-arc, preferring the smallest-id
-    Fork in-neighbor and dropping everything if it has none; Merge vertices
-    are symmetric on the out side.  Works for any total labeling; deleting
-    the result always leaves a funnel.
+    The :func:`~funnelkit.analysis.doomed_arcs` of every vertex under a total
+    labeling; deleting them always leaves a funnel.
     """
     labeling.require_total()
-    doomed: set[Arc] = set()
-    for v in dag.vertices():
-        if labeling[v] is Label.FORK:
-            keep = next(
-                (u for u in dag.in_neighbors(v) if labeling[u] is Label.FORK), None
-            )
-            doomed.update((u, v) for u in dag.in_neighbors(v) if u != keep)
-        else:
-            keep = next(
-                (w for w in dag.out_neighbors(v) if labeling[w] is Label.MERGE), None
-            )
-            doomed.update((v, w) for w in dag.out_neighbors(v) if w != keep)
-    return frozenset(doomed)
+    labels, alive = list(labeling), bytearray(b"\x01") * dag.arc_count
+    return frozenset(
+        dag.arcs[a] for v in dag.vertices() for a in doomed_arcs(dag, v, labels, alive)
+    )
 
 
 def greedy_relabel(

@@ -189,6 +189,10 @@ class GridSpec:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError("unknown grid keys: " + ", ".join(unknown))
+        for key, kinds in (("ns", int), ("ps", (int, float)), ("ss", int)):
+            for value in raw.get(key, ()):
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"grid key {key!r} holds non-numeric {value!r}")
         base = cls()
         return cls(
             ns=tuple(raw.get("ns", base.ns)),

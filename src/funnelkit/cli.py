@@ -28,7 +28,6 @@ from .analysis import (
     is_funnel_degree,
 )
 from .bench import GridSpec, run_grid, summarize, write_csv
-from .exact import TooLarge
 from .generator import (
     GenParams,
     InvalidFormula,
@@ -292,9 +291,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args, sys.stdout)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,9 +8,9 @@ fixpoint at every node:
   labeled neighbors gets that label (sources are Fork, sinks are Merge, a
   lone Fork in-neighbor passes Fork down, and degree counting settles the
   rest);
-* satisfy-label: arcs no optimal completion can keep are deleted -- every
-  live Merge-to-Fork arc, all but one in-arc of a Fork vertex that has a
-  Fork in-neighbor (smallest id kept), and symmetrically for Merge.
+* satisfy-label: the live arcs :func:`~funnelkit.analysis.doomed_arcs` finds
+  are deleted -- every Merge-to-Fork arc, all but one in-arc of a Fork vertex
+  with a Fork in-neighbor (smallest id kept), and symmetrically for Merge.
 
 When no rule fires the solver branches: either on the label of the first
 (in topological order) vertex whose in- or out-neighborhood pins it down,
@@ -21,67 +21,28 @@ funnel and the labeling is total; this is asserted at every leaf.
 Nodes are pruned against the best known solution using a certificate
 packing: arc-disjoint obstructions each force one deletion, so their count
 lower-bounds the remaining work.  The live graph is a ``bytearray`` mask over
-arc ids (an arc's id is its position in the sorted ``dag.arcs``); a packing
-works on copies of the mask and of the live degrees, so a vertex with too
-few free arcs is passed over without a scan.  A vertex short of a fork has
-at most one free out-arc, so the forward search from a vertex is a walk.
-When a walk fails, every vertex on it has at most one free out-arc, leading
-on along the walk to a dead end.  Free arcs only disappear during a packing,
-so none of those vertices can ever reach a fork again: the packing marks
-them dead and later walks stop at them.  That keeps the count of a plain
-search and makes failing walks linear work in total.
+the arc ids of the Dag's own tables; a packing works on copies of the mask
+and of the live degrees, so a vertex with too few free arcs is passed over
+without a scan.  A vertex short of a fork has at most one free out-arc, so
+the forward search from a vertex is a walk.  When a walk fails, every vertex
+on it has at most one free out-arc, leading on along the walk to a dead end.
+Free arcs only disappear during a packing, so none of those vertices can
+ever reach a fork again: the packing marks them dead and later walks stop
+at them.  That keeps the count of a plain search and makes failing walks
+linear work in total.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations
 from typing import Callable, Optional
 
-from .analysis import funnel_labeling, is_funnel_degree
+from .analysis import constrained_arcs, doomed_arcs
 from .approx import approximate_addf
-from .graph import Arc, ArcSet, Dag, delete_arcs
+from .graph import Arc, ArcSet, Dag
 from .labeling import Label, Labeling
-
-
-class TooLarge(Exception):
-    """Instance exceeds a hard cap of an exponential-time helper."""
-
-
-class _ArcIndex:
-    """Flat arc-id tables of one Dag: tail, head, out- and in-arc ranges.
-
-    ``dag.arcs`` is sorted, so the out-arcs of ``u`` are the ids
-    ``out_off[u]:out_off[u + 1]`` in head order; ``in_ids`` holds the ids
-    stably sorted by head, so the in-arcs of ``v`` come in tail order.
-    """
-
-    __slots__ = ("topo", "tails", "heads", "out_off", "in_off", "in_ids")
-
-    def __init__(self, dag: Dag):
-        arcs, vertices = dag.arcs, dag.vertices()
-        self.topo = dag.topo_order
-        # Lists of the ints already inside dag.arcs: a pointer per arc, and
-        # the fastest to index.  The derived tables are compact arrays.
-        self.tails = [u for u, _ in arcs]
-        self.heads = [v for _, v in arcs]
-        self.out_off = array("i", accumulate(map(dag.out_degree, vertices), initial=0))
-        self.in_off = array("i", accumulate(map(dag.in_degree, vertices), initial=0))
-        # Counting sort by head; ids arrive in increasing order, so it is stable.
-        self.in_ids = array("i", bytes(4 * len(arcs)))
-        fill = self.in_off.tolist()
-        for a, v in enumerate(self.heads):
-            self.in_ids[fill[v]] = a
-            fill[v] += 1
-
-    def in_arcs(self, v: int) -> array:
-        return self.in_ids[self.in_off[v] : self.in_off[v + 1]]
-
-    def out_arcs(self, u: int) -> range:
-        return range(self.out_off[u], self.out_off[u + 1])
 
 
 def lower_bound(dag: Dag) -> int:
@@ -93,27 +54,27 @@ def lower_bound(dag: Dag) -> int:
     Zero exactly on funnels.
     """
     return _pack(
-        _ArcIndex(dag),
+        dag,
         bytearray(b"\x01") * dag.arc_count,
         list(map(dag.in_degree, dag.vertices())),
         list(map(dag.out_degree, dag.vertices())),
     )
 
 
-def _pack(index: _ArcIndex, alive, live_in, live_out) -> int:
+def _pack(dag: Dag, alive, live_in, live_out) -> int:
     """Greedy obstruction count over the arcs set in ``alive``.
 
     ``live_in``/``live_out`` are the live degrees.  A hit takes the first two
     free in-arcs and out-arcs in id order, so the count depends only on the
     graph and the mask.
     """
-    tails, heads, out_off = index.tails, index.heads, index.out_off
+    tails, heads, out_off = dag.tails, dag.heads, dag.out_off
     free = bytearray(alive)
     free_in = list(live_in)
     free_out = list(live_out)
     dead = bytearray(len(free_in))  # vertices that can never reach a fork
     count = 0
-    for v in index.topo:
+    for v in dag.topo_order:
         while free_in[v] >= 2 and not dead[v]:
             # Short of a fork a vertex has at most one free out-arc, so the
             # forward search is a walk along a single path.
@@ -129,7 +90,7 @@ def _pack(index: _ArcIndex, alive, live_in, live_out) -> int:
                 for a in used:
                     dead[heads[a]] = 1
                 break
-            for ids in (index.in_arcs(v), index.out_arcs(x)):
+            for ids in (dag.in_arcs(v), dag.out_arcs(x)):
                 end = len(used) + 2
                 for a in ids:
                     if free[a]:
@@ -180,7 +141,6 @@ class Solver:
         self.dag = dag
         self.stats = SolverStats()
         self._labels: list[Optional[Label]] = [None] * dag.vertex_count
-        self._index = _ArcIndex(dag)
         self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
         self._live_in = [dag.in_degree(v) for v in dag.vertices()]
         self._live_out = [dag.out_degree(v) for v in dag.vertices()]
@@ -222,8 +182,8 @@ class Solver:
 
     def _delete_arc(self, a: int) -> None:
         self._alive[a] = 0
-        self._live_out[self._index.tails[a]] -= 1
-        self._live_in[self._index.heads[a]] -= 1
+        self._live_out[self.dag.tails[a]] -= 1
+        self._live_in[self.dag.heads[a]] -= 1
         self._solution.append(self.dag.arcs[a])
         self._trail.append(a)
 
@@ -234,23 +194,17 @@ class Solver:
                 self._labels[~a] = None
             else:
                 self._alive[a] = 1
-                self._live_out[self._index.tails[a]] += 1
-                self._live_in[self._index.heads[a]] += 1
+                self._live_out[self.dag.tails[a]] += 1
+                self._live_in[self.dag.heads[a]] += 1
                 self._solution.pop()
 
-    def _live_in_arcs(self, v: int) -> list[int]:
-        return [a for a in self._index.in_arcs(v) if self._alive[a]]
-
-    def _live_out_arcs(self, v: int) -> list[int]:
-        return [a for a in self._index.out_arcs(v) if self._alive[a]]
-
     def _live_in_neighbors(self, v: int) -> list[int]:
-        tails, alive = self._index.tails, self._alive
-        return [tails[a] for a in self._index.in_arcs(v) if alive[a]]
+        tails, alive = self.dag.tails, self._alive
+        return [tails[a] for a in self.dag.in_arcs(v) if alive[a]]
 
     def _live_out_neighbors(self, v: int) -> list[int]:
-        heads, alive = self._index.heads, self._alive
-        return [heads[a] for a in self._index.out_arcs(v) if alive[a]]
+        heads, alive = self.dag.heads, self._alive
+        return [heads[a] for a in self.dag.out_arcs(v) if alive[a]]
 
     # ---- reduction rules ----
 
@@ -280,29 +234,6 @@ class Solver:
                 return Label.MERGE
         return None
 
-    def _rule_satisfy(self, v: int) -> list[int]:
-        """Ids of arcs around the labeled vertex v no optimal completion keeps.
-
-        A Merge-to-Fork arc can never stay, whatever happens later, so those
-        go unconditionally; with a same-label neighbor on the constrained
-        side everything else on that side goes too (smallest id kept).
-        """
-        labels, tails, heads = self._labels, self._index.tails, self._index.heads
-        lab = labels[v]
-        if lab is Label.FORK:
-            ins = self._live_in_arcs(v)
-            keep = next((a for a in ins if labels[tails[a]] is Label.FORK), None)
-            if keep is not None:
-                return [a for a in ins if a != keep]
-            return [a for a in ins if labels[tails[a]] is Label.MERGE]
-        if lab is Label.MERGE:
-            outs = self._live_out_arcs(v)
-            keep = next((a for a in outs if labels[heads[a]] is Label.MERGE), None)
-            if keep is not None:
-                return [a for a in outs if a != keep]
-            return [a for a in outs if labels[heads[a]] is Label.FORK]
-        return []
-
     def _reduce(self, seeds) -> None:
         """Run both rules to a joint fixpoint, starting from ``seeds``."""
         pending = deque(seeds)
@@ -331,7 +262,7 @@ class Solver:
                 for w in self._live_out_neighbors(v):
                     wake(w)
                 continue
-            for a in self._rule_satisfy(v):
+            for a in doomed_arcs(self.dag, v, self._labels, self._alive):
                 u, w = self.dag.arcs[a]
                 self._delete_arc(a)
                 self.stats.rr2 += 1
@@ -359,35 +290,29 @@ class Solver:
                 return v
         return None
 
-    def _branch_arcs_candidate(self) -> Optional[tuple[int, str]]:
+    def _branch_arcs_candidate(self) -> Optional[int]:
         """First labeled vertex still violating its degree constraint."""
         for v in self.dag.topo_order:
             if self._labels[v] is Label.FORK and self._live_in[v] > 1:
-                return v, "in"
+                return v
             if self._labels[v] is Label.MERGE and self._live_out[v] > 1:
-                return v, "out"
+                return v
         return None
 
     # ---- search ----
 
     def _lower_bound_live(self) -> int:
-        return _pack(self._index, self._alive, self._live_in, self._live_out)
+        return _pack(self.dag, self._alive, self._live_in, self._live_out)
 
     def _check_leaf(self) -> None:
         # Completeness: with no rule or branch applicable, the labeling must
         # be total and the live graph a funnel for it.  A failure here is a
         # solver bug, not a property of the input.
-        labels = self._labels
         for v in self.dag.vertices():
-            if labels[v] is None:
+            if self._labels[v] is None:
                 raise RuntimeError(f"leaf with unlabeled vertex {v}")
-            if labels[v] is Label.FORK and self._live_in[v] > 1:
-                raise RuntimeError(f"leaf with unsatisfied fork {v}")
-            if labels[v] is Label.MERGE and self._live_out[v] > 1:
-                raise RuntimeError(f"leaf with unsatisfied merge {v}")
-        for a, (u, v) in enumerate(self.dag.arcs):
-            if self._alive[a] and labels[u] is Label.MERGE and labels[v] is Label.FORK:
-                raise RuntimeError(f"leaf with live merge->fork arc ({u}, {v})")
+            if doomed_arcs(self.dag, v, self._labels, self._alive):
+                raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
     def _node(self, seeds) -> None:
         self.stats.nodes += 1
@@ -417,13 +342,10 @@ class Solver:
                 if self.stats.timed_out:
                     return
             return
-        cand = self._branch_arcs_candidate()
-        if cand is not None:
-            v, side = cand
-            if side == "in":
-                arcs, ends = self._live_in_arcs(v), self._index.tails
-            else:
-                arcs, ends = self._live_out_arcs(v), self._index.heads
+        v = self._branch_arcs_candidate()
+        if v is not None:
+            ids, ends = constrained_arcs(self.dag, v, self._labels[v])
+            arcs = [a for a in ids if self._alive[a]]
             touched = sorted({v, *(ends[a] for a in arcs)})
             for kept in arcs:
                 mark = len(self._trail)
@@ -480,28 +402,3 @@ def solve_addf(
         time_limit_ms=time_limit_ms,
         trace=trace,
     ).run()
-
-
-def brute_force_addf(dag: Dag, max_arcs: int = 24) -> ExactResult:
-    """Try all arc subsets by size; independent oracle for the solver.
-
-    Subsets of equal size are tried in lexicographic arc order, so the
-    returned set is the lexicographically first among the smallest.  Capped
-    because the subset lattice explodes; raises :class:`TooLarge` beyond it.
-    """
-    if dag.arc_count > max_arcs:
-        raise TooLarge(f"{dag.arc_count} arcs exceed the {max_arcs}-arc cap")
-    stats = SolverStats()
-    for k in range(dag.arc_count + 1):
-        for subset in combinations(dag.arcs, k):
-            stats.nodes += 1
-            survivor = delete_arcs(dag, subset)
-            if is_funnel_degree(survivor):
-                stats.leaves = 1
-                return ExactResult(
-                    distance=k,
-                    deletion_set=frozenset(subset),
-                    labeling=funnel_labeling(survivor),
-                    stats=stats,
-                )
-    raise AssertionError("deleting every arc always yields a funnel")

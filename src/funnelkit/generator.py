@@ -8,9 +8,10 @@ its parameters on any machine or Python version.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .exact import TooLarge
 from .graph import Arc, Dag
 from .labeling import Label, Labeling
 
@@ -61,13 +62,30 @@ def derive_seed(base: int, index: int) -> int:
     return SplitMix64((base + index * _GOLDEN) & _MASK64).next_u64()
 
 
-def _sample_pairs(rng: SplitMix64, pool: list[Arc], count: int) -> list[Arc]:
-    """``count`` distinct pairs from an explicit pool, partial Fisher-Yates."""
-    pool = list(pool)
-    for i in range(count):
-        j = i + rng.below(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:count]
+def _sample_pairs(
+    rng: SplitMix64,
+    count: int,
+    slots: int,
+    candidates: Callable[[], list[Arc]],
+    draw: Callable[[], Optional[Arc]],
+) -> list[Arc]:
+    """``count`` distinct pairs drawn uniformly from ``slots`` free ones.
+
+    Dense requests shuffle the sorted ``candidates()`` (partial Fisher-Yates);
+    sparse ones repeat ``draw()``, ``None`` meaning a rejected draw.
+    """
+    if 2 * count >= slots:
+        pool = candidates()
+        for i in range(count):
+            j = i + rng.below(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:count]
+    picked: set[Arc] = set()
+    while len(picked) < count:
+        pair = draw()
+        if pair is not None:
+            picked.add(pair)
+    return sorted(picked)
 
 
 @dataclass(frozen=True)
@@ -112,27 +130,17 @@ def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
             arcs.append((v, merges[len(merges) - r]))
 
     # Cross arcs run Fork -> Merge and forward in the vertex order.
-    earlier_forks = 0
-    fork_prefix = []
-    for v in range(n):
-        fork_prefix.append(earlier_forks)
-        if labels[v] is Label.FORK:
-            earlier_forks += 1
-    possible = sum(fork_prefix[m] for m in merges)
-    target = math.ceil(params.p * possible)
-    if target:
-        if 2 * target >= possible:
-            pool = [(f, m) for m in merges for f in forks if f < m]
-            chosen = _sample_pairs(rng, sorted(pool), target)
-        else:
-            picked: set[Arc] = set()
-            while len(picked) < target:
-                f = forks[rng.below(len(forks))]
-                m = merges[rng.below(len(merges))]
-                if f < m and (f, m) not in picked:
-                    picked.add((f, m))
-            chosen = sorted(picked)
-        arcs.extend(chosen)
+    possible = sum(bisect_left(forks, m) for m in merges)
+
+    def pool() -> list[Arc]:
+        return sorted((f, m) for m in merges for f in forks if f < m)
+
+    def draw() -> Optional[Arc]:
+        f = forks[rng.below(len(forks))]
+        m = merges[rng.below(len(merges))]
+        return (f, m) if f < m else None
+
+    arcs += _sample_pairs(rng, math.ceil(params.p * possible), possible, pool, draw)
     return Dag(n, arcs), Labeling(labels)
 
 
@@ -149,23 +157,17 @@ def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
     if s == 0:
         return dag
     rng = SplitMix64(seed)
-    if 2 * s >= free:
-        pool = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in dag.arc_set
-        ]
-        extra = _sample_pairs(rng, pool, s)
-    else:
-        picked: set[Arc] = set()
-        while len(picked) < s:
-            u = rng.below(n)
-            v = rng.below(n)
-            if u < v and (u, v) not in dag.arc_set and (u, v) not in picked:
-                picked.add((u, v))
-        extra = sorted(picked)
-    return Dag(n, list(dag.arcs) + extra)
+
+    def pool() -> list[Arc]:
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return [pair for pair in pairs if pair not in dag.arc_set]
+
+    def draw() -> Optional[Arc]:
+        u = rng.below(n)
+        v = rng.below(n)
+        return (u, v) if u < v and (u, v) not in dag.arc_set else None
+
+    return Dag(n, list(dag.arcs) + _sample_pairs(rng, s, free, pool, draw))
 
 
 @dataclass(frozen=True)
@@ -262,17 +264,3 @@ def reduce_3sat(formula: CnfFormula) -> tuple[Dag, int]:
     return Dag(6 * n + 5 * m, arcs), 2 * m + n
 
 
-def sat_oracle(formula: CnfFormula, max_vars: int = 20) -> bool:
-    """Exhaustive satisfiability check for small formulas."""
-    if formula.num_vars > max_vars:
-        raise TooLarge(f"{formula.num_vars} variables exceed the {max_vars} cap")
-    for assignment in range(1 << formula.num_vars):
-        if all(
-            any(
-                (assignment >> (abs(lit) - 1)) & 1 == (1 if lit > 0 else 0)
-                for lit in clause
-            )
-            for clause in formula.clauses
-        ):
-            return True
-    return False

@@ -2,9 +2,9 @@
 
 Vertices are dense integer ids ``0..vertex_count-1``; an arc is a
 ``(tail, head)`` pair.  A :class:`Dag` validates itself on construction
-(simple, acyclic) and precomputes sorted adjacency in both directions plus a
-topological order, after which it is immutable: every edit returns a new
-instance, so values can be shared freely across threads and processes.
+(simple, acyclic) and precomputes arc-id adjacency tables plus a topological
+order, after which it is immutable: every edit returns a new instance, so
+values can be shared freely across threads and processes.
 
 Edge-list text format: one ``<tail> <head>`` pair per line, ``#`` comments and
 blank lines ignored, plus an optional leading header ``p <n> <m>`` declaring
@@ -14,12 +14,18 @@ the vertex and arc counts (useful for trailing isolated vertices).
 from __future__ import annotations
 
 import heapq
+from array import array
+from itertools import accumulate
+from operator import itemgetter
 from typing import IO, Iterable, Optional, Union
 
 from .labeling import Labeling
 
 Arc = tuple[int, int]
 ArcSet = frozenset[Arc]
+
+# Largest vertex count a file may declare or imply, checked before allocating.
+MAX_VERTICES = 10**7
 
 
 class GraphError(Exception):
@@ -50,53 +56,67 @@ class MalformedLine(GraphError):
         self.line_no = line_no
 
 
-class Dag:
-    """Immutable simple DAG with adjacency kept in both directions.
+def _offsets(n: int, ends: Iterable[int]) -> tuple[int, ...]:
+    """Prefix sums of the arc counts per vertex: ``n + 1`` range bounds."""
+    counts = [0] * n
+    for x in ends:
+        counts[x] += 1
+    return tuple(accumulate(counts, initial=0))
 
-    Arc tuples, neighbor lists and the topological order are sorted, so every
-    traversal of equal Dags is identical.  The topological order comes from
-    Kahn's algorithm with a min-id heap: ties always break toward the
-    smallest vertex id.
+
+class Dag:
+    """Immutable simple DAG kept as read-only arc-id tables.
+
+    An arc's id is its position in the sorted ``arcs``; ``tails[a]`` and
+    ``heads[a]`` are its ends.  The out-arcs of ``u`` are the ids
+    ``out_off[u]:out_off[u + 1]`` (head order), the in-arcs of ``v`` are
+    ``in_ids[in_off[v]:in_off[v + 1]]`` (tail order), and neighbor tuples are
+    slices, so every traversal of equal Dags is identical.  The topological
+    order comes from Kahn's algorithm with a min-id heap: ties always break
+    toward the smallest vertex id.
     """
 
-    __slots__ = ("_n", "_arcs", "_arc_set", "_out", "_in", "_topo")
+    __slots__ = (
+        "_n", "_arcs", "_arc_set", "_topo",
+        "tails", "heads", "out_off", "in_off", "in_ids", "_in_tails",
+    )
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        self._n = int(vertex_count)
+        n = self._n = int(vertex_count)
         seen: set[Arc] = set()
-        out: list[list[int]] = [[] for _ in range(self._n)]
-        in_: list[list[int]] = [[] for _ in range(self._n)]
         for u, v in arcs:
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise ValueError(f"arc ({u}, {v}) out of range for {self._n} vertices")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if (u, v) in seen:
                 raise DuplicateArc(f"duplicate arc ({u}, {v})")
             seen.add((u, v))
-            out[u].append(v)
-            in_[v].append(u)
-        for lst in out:
-            lst.sort()
-        for lst in in_:
-            lst.sort()
         self._arcs = tuple(sorted(seen))
         self._arc_set = frozenset(seen)
-        self._out = tuple(tuple(lst) for lst in out)
-        self._in = tuple(tuple(lst) for lst in in_)
+        self.tails = tuple(map(itemgetter(0), self._arcs))
+        self.heads = tuple(map(itemgetter(1), self._arcs))
+        self.out_off = _offsets(n, self.tails)
+        self.in_off = _offsets(n, self.heads)
+        # sorted() is stable, so ids with equal heads stay in tail order.
+        by_head = sorted(range(len(self._arcs)), key=self.heads.__getitem__)
+        self.in_ids = array("i", by_head)
+        # Tails in in_ids order, so that in_neighbors is a slice as well.
+        self._in_tails = tuple(map(self.tails.__getitem__, by_head))
         self._topo = self._kahn()
 
     def _kahn(self) -> tuple[int, ...]:
-        indeg = [len(self._in[v]) for v in range(self._n)]
+        heads, out_off, in_off = self.heads, self.out_off, self.in_off
+        indeg = [in_off[v + 1] - in_off[v] for v in range(self._n)]
         ready = [v for v in range(self._n) if indeg[v] == 0]
         heapq.heapify(ready)
         order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in self._out[v]:
+            for w in heads[out_off[v] : out_off[v + 1]]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
@@ -130,16 +150,24 @@ class Dag:
         return range(self._n)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        return self.heads[self.out_off[v] : self.out_off[v + 1]]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
+        return self._in_tails[self.in_off[v] : self.in_off[v + 1]]
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        return self.out_off[v + 1] - self.out_off[v]
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        return self.in_off[v + 1] - self.in_off[v]
+
+    def out_arcs(self, v: int) -> range:
+        """Ids of the out-arcs of ``v``, in head order."""
+        return range(self.out_off[v], self.out_off[v + 1])
+
+    def in_arcs(self, v: int) -> array:
+        """Ids of the in-arcs of ``v``, in tail order."""
+        return self.in_ids[self.in_off[v] : self.in_off[v + 1]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
@@ -175,7 +203,8 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
 
     Only syntax is validated here; duplicates, self-loops and cycles pass
     through untouched (the condensation entry point wants them).  The header,
-    when present, must agree with the ids and arc count that follow.
+    when present, must agree with the ids and arc count that follow, and the
+    vertex count may not exceed :data:`MAX_VERTICES`.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -183,6 +212,7 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
         source = source.decode("utf-8")
     arcs: list[Arc] = []
     declared: Optional[tuple[int, int]] = None
+    limit = MAX_VERTICES  # ids stay below this, or below the declared count
     header_line = 0
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -198,7 +228,9 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
                 declared = (int(fields[1]), int(fields[2]))
             except ValueError:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'") from None
-            header_line = line_no
+            if not 0 <= declared[0] <= MAX_VERTICES:
+                raise MalformedLine(line_no, f"vertex count not in 0..{MAX_VERTICES}")
+            limit, header_line = declared[0], line_no
             continue
         if len(fields) != 2:
             raise MalformedLine(line_no, f"expected '<tail> <head>', got {line!r}")
@@ -208,8 +240,9 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
             raise MalformedLine(line_no, f"non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:
             raise MalformedLine(line_no, "vertex ids must be non-negative")
-        if declared is not None and (u >= declared[0] or v >= declared[0]):
-            raise MalformedLine(line_no, f"vertex id beyond declared count {declared[0]}")
+        if u >= limit or v >= limit:
+            what = "declared count" if declared else "vertex limit"
+            raise MalformedLine(line_no, f"vertex id beyond {what} {limit}")
         arcs.append((u, v))
     if declared is not None:
         if len(arcs) != declared[1]:

@@ -17,6 +17,7 @@ from funnelkit import (
     path_counts,
     verify_funnel_labeling,
 )
+from funnelkit.analysis import doomed_arcs
 from samples import D0, D1, DIAMOND, FUNNEL_8, NEAR_FUNNEL_8, PATH3, random_dag
 
 FUNNELS = [
@@ -233,3 +234,72 @@ def test_random_funnels_respect_bound():
             continue
         checked += 1
         assert dag.arc_count <= max_arc_bound(dag.vertex_count)
+
+
+# ---- the labeling kernel against the neighbor-based code it replaced ----
+
+
+def _reference_verify(dag, labeling):
+    """verify_funnel_labeling as it was written over neighbor tuples."""
+    labeling.require_total()
+    for v in dag.vertices():
+        if labeling[v] is Label.FORK and dag.in_degree(v) > 1:
+            return False
+        if labeling[v] is Label.MERGE and dag.out_degree(v) > 1:
+            return False
+    return not any(
+        labeling[u] is Label.MERGE and labeling[v] is Label.FORK
+        for u, v in dag.arcs
+    )
+
+
+def _reference_satisfy(dag, v, labels, alive):
+    """The solver's satisfy-label rule as it was written before the kernel."""
+    lab = labels[v]
+    ins = [a for a, arc in enumerate(dag.arcs) if arc[1] == v and alive[a]]
+    outs = [a for a, arc in enumerate(dag.arcs) if arc[0] == v and alive[a]]
+    if lab is Label.FORK:
+        keep = next((a for a in ins if labels[dag.arcs[a][0]] is Label.FORK), None)
+        if keep is not None:
+            return [a for a in ins if a != keep]
+        return [a for a in ins if labels[dag.arcs[a][0]] is Label.MERGE]
+    if lab is Label.MERGE:
+        keep = next((a for a in outs if labels[dag.arcs[a][1]] is Label.MERGE), None)
+        if keep is not None:
+            return [a for a in outs if a != keep]
+        return [a for a in outs if labels[dag.arcs[a][1]] is Label.FORK]
+    return []
+
+
+def _random_labels(rng, n, choices):
+    return [choices[rng.below(len(choices))] for _ in range(n)]
+
+
+def test_verify_matches_the_neighbor_based_reference():
+    rng = SplitMix64(303)
+    funnels = accepted = 0
+    for _ in range(300):
+        dag = random_dag(rng, 1 + rng.below(10), 30)
+        labels = _random_labels(rng, dag.vertex_count, (Label.FORK, Label.MERGE))
+        labeling = Labeling(labels)
+        assert verify_funnel_labeling(dag, labeling) == _reference_verify(dag, labeling)
+        if is_funnel_degree(dag):
+            funnels += 1
+            canonical = funnel_labeling(dag)
+            assert verify_funnel_labeling(dag, canonical)
+            assert _reference_verify(dag, canonical)
+        accepted += verify_funnel_labeling(dag, labeling)
+    assert funnels > 50 and accepted > 20
+
+
+def test_doomed_arcs_match_the_solver_rule_on_partial_labels_and_masks():
+    rng = SplitMix64(304)
+    labels_to_pick = (Label.FORK, Label.MERGE, None)
+    for _ in range(300):
+        dag = random_dag(rng, 1 + rng.below(10), 40)
+        labels = _random_labels(rng, dag.vertex_count, labels_to_pick)
+        alive = bytearray(rng.below(4) != 0 for _ in range(dag.arc_count))
+        for v in dag.vertices():
+            assert doomed_arcs(dag, v, labels, alive) == _reference_satisfy(
+                dag, v, labels, alive
+            )

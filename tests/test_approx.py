@@ -11,6 +11,7 @@ from funnelkit import (
     assign_labels_greedy,
     brute_force_addf,
     delete_arcs,
+    funnel_labeling,
     greedy_relabel,
     is_funnel_degree,
     verify_funnel_labeling,
@@ -184,3 +185,39 @@ def test_approximate_scales_roughly_linearly():
     big = run(100_000)
     # 10x the input must not cost anything near 100x the time
     assert big < 25 * small + 0.5
+
+
+def _reference_deletion_set(dag, labeling):
+    """arc_deletion_set as it was written over neighbor tuples."""
+    labeling.require_total()
+    doomed = set()
+    for v in dag.vertices():
+        if labeling[v] is Label.FORK:
+            keep = next(
+                (u for u in dag.in_neighbors(v) if labeling[u] is Label.FORK), None
+            )
+            doomed.update((u, v) for u in dag.in_neighbors(v) if u != keep)
+        else:
+            keep = next(
+                (w for w in dag.out_neighbors(v) if labeling[w] is Label.MERGE), None
+            )
+            doomed.update((v, w) for w in dag.out_neighbors(v) if w != keep)
+    return frozenset(doomed)
+
+
+def test_deletion_set_matches_the_neighbor_based_reference():
+    rng = SplitMix64(305)
+    funnels = 0
+    for _ in range(300):
+        n = 1 + rng.below(10)
+        dag = random_dag(rng, n, 30)
+        labels = Labeling(
+            [Label.FORK if rng.below(2) else Label.MERGE for _ in range(n)]
+        )
+        assert arc_deletion_set(dag, labels) == _reference_deletion_set(dag, labels)
+        if is_funnel_degree(dag):
+            funnels += 1
+            canonical = funnel_labeling(dag)
+            assert arc_deletion_set(dag, canonical) == frozenset()
+            assert _reference_deletion_set(dag, canonical) == frozenset()
+    assert funnels > 50

@@ -61,6 +61,30 @@ def test_check_malformed_line_reported(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("p 1000000000000 0\n", "line 1"),
+        ("p -5 0\n", "line 1"),
+        ("0 1\n0 99999999999\n", "line 2"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["check", "--condense"], ["distance"], ["distance", "--condense"]],
+)
+def test_vertex_count_is_bounded_before_allocating(tmp_path, capsys, text, line, argv):
+    # Declared by the header or implied by an id: either way rejected before
+    # any per-vertex table exists, so the call returns at once.  A negative
+    # count is rejected there too.
+    path = tmp_path / "huge.edges"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert line in err
+
+
 # ---- distance ----
 
 
@@ -223,6 +247,28 @@ def test_bench_noise_beyond_free_slots(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text('{"ns": [4], "ps": [0.5], "ss": [50], "replicates": 1}')
     assert "slots" in _bench_error(["--grid", str(grid)], capsys)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"ns": ["a"]}', "ns"),
+        ('{"ns": [20.5]}', "ns"),
+        ('{"ps": ["x"]}', "ps"),
+        ('{"ss": [true]}', "ss"),
+    ],
+)
+def test_bench_non_numeric_grid_value(tmp_path, capsys, text, key):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    assert f"'{key}'" in _bench_error(["--grid", str(grid)], capsys)
+
+
+def test_bench_integer_density_keeps_its_row_names(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [8], "ps": [1], "ss": [1], "replicates": 1}')
+    assert main(["bench", "--grid", str(grid)]) == 0
+    assert "\nn8-p1-s1-r0," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])

@@ -1,8 +1,12 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import funnelkit
 from funnelkit import (
     CnfFormula,
     GenParams,
@@ -182,6 +186,59 @@ def test_add_noise_arcs_can_fill_every_slot():
     assert full.arc_count == 8 * 7 // 2
     with pytest.raises(NotEnoughSlots):
         add_noise_arcs(dag, free + 1, seed=1)
+
+
+# Arcs as the generators produced them before both shared one sampling
+# helper: one instance on each side of its pool-or-rejection switch.
+PINNED_PLANTED = {
+    0.9: (  # 11 of 12 possible cross arcs: explicit pool
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3),
+        (1, 4), (1, 6), (2, 7), (3, 4), (4, 6), (5, 6), (5, 7), (6, 7),
+    ),
+    0.2: (  # 3 of 12: rejection sampling
+        (0, 1), (0, 3), (1, 3), (2, 7), (3, 4), (4, 6), (5, 7), (6, 7),
+    ),
+}
+PINNED_NOISE = {
+    10: (  # 10 of 19 free slots: explicit pool
+        (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 5),
+        (3, 4), (3, 5), (4, 5), (5, 6),
+    ),
+    3: ((0, 4), (0, 5), (1, 3), (2, 4), (4, 5)),  # 3 of 19: rejection
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_PLANTED))
+def test_planted_funnel_arcs_are_pinned(p):
+    dag, _ = generate_planted_funnel(GenParams(n=9, p=p, s=0, seed=5))
+    assert dag.arcs == PINNED_PLANTED[p]
+
+
+@pytest.mark.parametrize("s", sorted(PINNED_NOISE))
+def test_noise_arcs_are_pinned(s):
+    base, _ = generate_planted_funnel(GenParams(n=7, p=0.5, s=0, seed=3))
+    assert base.arcs == ((0, 5), (4, 5))
+    assert add_noise_arcs(base, s, seed=11).arcs == PINNED_NOISE[s]
+
+
+def test_generator_does_not_load_the_solver():
+    # The package __init__ imports every module, so the check loads the
+    # generator under an empty package shell and sees what it pulls in.
+    package = Path(funnelkit.__file__).parent
+    code = (
+        "import sys, types\n"
+        "shell = types.ModuleType('funnelkit')\n"
+        f"shell.__path__ = [{str(package)!r}]\n"
+        "sys.modules['funnelkit'] = shell\n"
+        "import funnelkit.generator\n"
+        "assert 'funnelkit.graph' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.startswith('funnelkit.')))\n"
+        "assert 'funnelkit.exact' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---- CNF parsing and the reduction ----

@@ -1,3 +1,4 @@
+import heapq
 import io
 
 import pytest
@@ -10,6 +11,7 @@ from funnelkit import (
     Labeling,
     MalformedLine,
     SelfLoop,
+    SplitMix64,
     condense_scc,
     delete_arcs,
     emit_dot,
@@ -18,7 +20,7 @@ from funnelkit import (
     read_arc_list,
     topological_order,
 )
-from samples import D0, DIAMOND
+from samples import D0, DIAMOND, random_dag
 
 
 def test_construction_and_queries():
@@ -163,3 +165,43 @@ def test_emit_dot():
     assert "0 -> 1;" in text
     with pytest.raises(ArcNotPresent):
         emit_dot(DIAMOND, highlight=[(3, 0)])
+
+
+def _reference_adjacency(n, arcs):
+    """Adjacency built the per-vertex way: sorted lists and a min-heap Kahn."""
+    out = [sorted(v for u, v in arcs if u == x) for x in range(n)]
+    in_ = [sorted(u for u, v in arcs if v == x) for x in range(n)]
+    indeg = [len(lst) for lst in in_]
+    ready = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return out, in_, tuple(order)
+
+
+def test_arc_id_tables_match_the_per_vertex_reference():
+    rng = SplitMix64(306)
+    for _ in range(300):
+        n = 1 + rng.below(12)
+        # Shuffled ids, so that the topological order is not the identity.
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        arcs = [(perm[u], perm[v]) for u, v in random_dag(rng, n, 35).arcs]
+        dag = Dag(n, arcs)
+        out, in_, topo = _reference_adjacency(n, arcs)
+        assert dag.topo_order == topo
+        for v in range(n):
+            assert dag.out_neighbors(v) == tuple(out[v])
+            assert dag.in_neighbors(v) == tuple(in_[v])
+            assert dag.out_degree(v) == len(out[v])
+            assert dag.in_degree(v) == len(in_[v])
+            assert [dag.arcs[a] for a in dag.out_arcs(v)] == [(v, w) for w in out[v]]
+            assert [dag.arcs[a] for a in dag.in_arcs(v)] == [(u, v) for u in in_[v]]
