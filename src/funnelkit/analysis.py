@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .graph import ArcSet, Dag
@@ -34,11 +35,12 @@ class NotAFunnel(Exception):
 
 def _tainted(dag: Dag) -> list[bool]:
     """tainted[v]: v or some ancestor of v has indegree > 1 (one topo pass)."""
+    in_tails, in_off = dag.in_tails, dag.in_off
     tainted = [False] * dag.vertex_count
     for v in dag.topo_order:
-        tainted[v] = dag.in_degree(v) > 1 or any(
-            tainted[u] for u in dag.in_neighbors(v)
-        )
+        lo, hi = in_off[v], in_off[v + 1]
+        # With one in-arc, v inherits from its only in-neighbor.
+        tainted[v] = hi - lo > 1 or (hi > lo and tainted[in_tails[lo]])
     return tainted
 
 
@@ -48,8 +50,11 @@ def is_funnel_degree(dag: Dag) -> bool:
     A single vertex carrying both indegree > 1 and outdegree > 1 already
     violates the condition.  Linear time.
     """
-    tainted = _tainted(dag)
-    return not any(tainted[v] and dag.out_degree(v) > 1 for v in dag.vertices())
+    out_off = dag.out_off
+    return not any(
+        t and hi - lo > 1
+        for t, lo, hi in zip(_tainted(dag), out_off, islice(out_off, 1, None))
+    )
 
 
 @dataclass(frozen=True)
@@ -64,16 +69,16 @@ class PathCounts:
 
 
 def path_counts(dag: Dag) -> PathCounts:
+    # Every count is at least 1, so two in-arcs (out-arcs) already saturate.
     src = [0] * dag.vertex_count
     snk = [0] * dag.vertex_count
+    in_tails, in_off, heads, out_off = dag.in_tails, dag.in_off, dag.heads, dag.out_off
     for v in dag.topo_order:
-        src[v] = 1 if dag.in_degree(v) == 0 else min(
-            2, sum(src[u] for u in dag.in_neighbors(v))
-        )
+        lo, hi = in_off[v], in_off[v + 1]
+        src[v] = 1 if lo == hi else src[in_tails[lo]] if hi - lo == 1 else 2
     for v in reversed(dag.topo_order):
-        snk[v] = 1 if dag.out_degree(v) == 0 else min(
-            2, sum(snk[w] for w in dag.out_neighbors(v))
-        )
+        lo, hi = out_off[v], out_off[v + 1]
+        snk[v] = 1 if lo == hi else snk[heads[lo]] if hi - lo == 1 else 2
     return PathCounts(tuple(src), tuple(snk))
 
 
@@ -87,22 +92,22 @@ def is_funnel_private_arc(dag: Dag) -> bool:
     """
     counts = path_counts(dag)
     src, snk = counts.source_paths, counts.sink_paths
-
-    def shared(u: int, v: int) -> bool:
-        return src[u] * snk[v] >= 2
-
+    in_tails, in_off, heads, out_off = dag.in_tails, dag.in_off, dag.heads, dag.out_off
     reach = [False] * dag.vertex_count  # reachable from a source via shared arcs
     for v in dag.topo_order:
-        reach[v] = dag.in_degree(v) == 0 or any(
-            reach[u] for u in dag.in_neighbors(v) if shared(u, v)
+        lo, hi = in_off[v], in_off[v + 1]
+        reach[v] = lo == hi or any(
+            reach[u] for u in in_tails[lo:hi] if src[u] * snk[v] >= 2
         )
     coreach = [False] * dag.vertex_count  # reaches a sink via shared arcs
     for v in reversed(dag.topo_order):
-        coreach[v] = dag.out_degree(v) == 0 or any(
-            coreach[w] for w in dag.out_neighbors(v) if shared(v, w)
+        lo, hi = out_off[v], out_off[v + 1]
+        coreach[v] = lo == hi or any(
+            coreach[w] for w in heads[lo:hi] if src[v] * snk[w] >= 2
         )
     return not any(
-        shared(u, v) and reach[u] and coreach[v] for u, v in dag.arcs
+        src[u] * snk[v] >= 2 and reach[u] and coreach[v]
+        for u, v in zip(dag.tails, heads)
     )
 
 

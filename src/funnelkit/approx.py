@@ -22,18 +22,19 @@ def assign_labels_greedy(dag: Dag) -> Labeling:
     Fork when out-degree exceeds in-degree, Fork on a tie with some Fork
     in-neighbor (ties keep source-side runs going), Merge otherwise.
     """
-    labels = Labeling.unassigned(dag.vertex_count)
+    fork, merge = Label.FORK, Label.MERGE
+    in_tails, in_off, out_off = dag.in_tails, dag.in_off, dag.out_off
+    labels: list[Label | None] = [None] * dag.vertex_count
     for v in dag.topo_order:
-        ind, outd = dag.in_degree(v), dag.out_degree(v)
-        if outd > ind:
-            labels[v] = Label.FORK
-        elif outd == ind and any(
-            labels[u] is Label.FORK for u in dag.in_neighbors(v)
+        lo, hi = in_off[v], in_off[v + 1]
+        outd = out_off[v + 1] - out_off[v]
+        if outd > hi - lo or (
+            outd == hi - lo and any(labels[u] is fork for u in in_tails[lo:hi])
         ):
-            labels[v] = Label.FORK
+            labels[v] = fork
         else:
-            labels[v] = Label.MERGE
-    return labels
+            labels[v] = merge
+    return Labeling(labels)
 
 
 def arc_deletion_set(dag: Dag, labeling: Labeling) -> ArcSet:
@@ -61,88 +62,66 @@ def greedy_relabel(
     repeats passes until no flip helps.
     """
     labeling.require_total()
-    labels = labeling.copy()
+    fork, merge = Label.FORK, Label.MERGE
+    labels = list(labeling)
+    heads, out_off, in_tails, in_off = dag.heads, dag.out_off, dag.in_tails, dag.in_off
     n = dag.vertex_count
     # fork_in[v]: Fork-labeled in-neighbors; merge_out[v]: Merge-labeled out-neighbors.
-    fork_in = [
-        sum(1 for u in dag.in_neighbors(v) if labels[u] is Label.FORK)
-        for v in range(n)
-    ]
-    merge_out = [
-        sum(1 for w in dag.out_neighbors(v) if labels[w] is Label.MERGE)
-        for v in range(n)
-    ]
-
-    def in_cost(v: int) -> int:
-        # Arcs v's own label forces off its in side.
-        if labels[v] is Label.MERGE:
-            return 0
-        return dag.in_degree(v) - 1 if fork_in[v] >= 1 else dag.in_degree(v)
-
-    def out_cost(v: int) -> int:
-        if labels[v] is Label.FORK:
-            return 0
-        return dag.out_degree(v) - 1 if merge_out[v] >= 1 else dag.out_degree(v)
-
-    def flip_delta(v: int) -> int:
-        # Exact change of the deletion-set size if v alone flips.  Every term
-        # is the status change of an arc incident to v: the vertex's own side
-        # costs, the Merge->Fork double counts, and the neighbors for which v
-        # is the only same-label partner appearing or disappearing.
-        old = labels[v]
-        delta = -(in_cost(v) + out_cost(v))
-        mf_gone = 0  # incident arcs that stop being Merge->Fork
-        mf_new = 0  # incident arcs that become Merge->Fork
-        if old is Label.FORK:  # Fork -> Merge
-            for u in dag.in_neighbors(v):
-                if labels[u] is Label.MERGE:
-                    mf_gone += 1
-                    if merge_out[u] == 0:
-                        delta -= 1  # u gains its first Merge child
-            for w in dag.out_neighbors(v):
-                if labels[w] is Label.FORK:
-                    mf_new += 1
-                    if fork_in[w] == 1:
-                        delta += 1  # w loses its only Fork parent
-        else:  # Merge -> Fork
-            for w in dag.out_neighbors(v):
-                if labels[w] is Label.FORK:
-                    mf_gone += 1
-                    if fork_in[w] == 0:
-                        delta -= 1  # w gains its first Fork parent
-            for u in dag.in_neighbors(v):
-                if labels[u] is Label.MERGE:
-                    mf_new += 1
-                    if merge_out[u] == 1:
-                        delta += 1  # u loses its only Merge child
-        labels[v] = Label.MERGE if old is Label.FORK else Label.FORK
-        delta += in_cost(v) + out_cost(v)
-        labels[v] = old
-        return delta + mf_gone - mf_new
-
-    def commit(v: int) -> None:
-        old = labels[v]
-        labels[v] = Label.MERGE if old is Label.FORK else Label.FORK
-        if old is Label.FORK:
-            for w in dag.out_neighbors(v):
-                fork_in[w] -= 1
-            for u in dag.in_neighbors(v):
-                merge_out[u] += 1
-        else:
-            for w in dag.out_neighbors(v):
-                fork_in[w] += 1
-            for u in dag.in_neighbors(v):
-                merge_out[u] -= 1
+    fork_in = [0] * n
+    merge_out = [0] * n
+    for u, w in dag.arcs:
+        if labels[u] is fork:
+            fork_in[w] += 1
+        if labels[w] is merge:
+            merge_out[u] += 1
 
     while True:
         flipped = False
         for v in dag.topo_order:
-            if flip_delta(v) < 0:
-                commit(v)
-                flipped = True
+            outs = heads[out_off[v] : out_off[v + 1]]
+            ins = in_tails[in_off[v] : in_off[v + 1]]
+            # Exact change of the deletion-set size if v alone flips, counted
+            # over the arcs at v with all neighbor labels fixed: first v's own
+            # side costs (a Fork's in-arcs but one from a Fork parent, a
+            # Merge's out-arcs but one to a Merge child), then the
+            # Merge->Fork arcs at v that go or come, each offset when v
+            # becomes a neighbor's first same-label partner or stops being
+            # its only one.
+            side = (len(outs) - (merge_out[v] > 0)) - (len(ins) - (fork_in[v] > 0))
+            if labels[v] is fork:  # Fork -> Merge
+                delta = side
+                for u in ins:
+                    if labels[u] is merge and merge_out[u]:
+                        delta += 1  # u->v goes; v is not u's first Merge child
+                for w in outs:
+                    if labels[w] is fork and fork_in[w] != 1:
+                        delta -= 1  # v->w comes; v was not w's only Fork parent
+                if delta < 0:
+                    labels[v] = merge
+                    for w in outs:
+                        fork_in[w] -= 1
+                    for u in ins:
+                        merge_out[u] += 1
+                    flipped = True
+            else:  # Merge -> Fork
+                delta = -side
+                for w in outs:
+                    if labels[w] is fork and fork_in[w]:
+                        delta += 1  # v->w goes; v is not w's first Fork parent
+                for u in ins:
+                    if labels[u] is merge and merge_out[u] != 1:
+                        delta -= 1  # u->v comes; v was not u's only Merge child
+                if delta < 0:
+                    labels[v] = fork
+                    for w in outs:
+                        fork_in[w] += 1
+                    for u in ins:
+                        merge_out[u] -= 1
+                    flipped = True
         if not (fixpoint and flipped):
             break
-    return labels, arc_deletion_set(dag, labels)
+    result = Labeling(labels)
+    return result, arc_deletion_set(dag, result)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -158,6 +158,17 @@ def analyze(
     return report.check()
 
 
+def parse_time_limit(value: str | float) -> float:
+    """``value`` as a time limit in ms; ValueError unless finite and >= 0.
+
+    A NaN limit would never expire and a negative one would expire at once.
+    """
+    limit = float(value)
+    if not (0 <= limit < math.inf):
+        raise ValueError(f"time limit must be a finite number >= 0 ms, got {value!r}")
+    return limit
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian benchmark grid over (n, p, s) with seeded replicates."""
@@ -199,7 +210,9 @@ class GridSpec:
             ps=tuple(raw.get("ps", base.ps)),
             ss=tuple(raw.get("ss", base.ss)),
             replicates=int(raw.get("replicates", base.replicates)),
-            time_limit_ms=float(raw.get("time_limit_ms", base.time_limit_ms)),
+            time_limit_ms=parse_time_limit(
+                raw.get("time_limit_ms", base.time_limit_ms)
+            ),
             seed=int(raw.get("seed", base.seed)),
         )
 
@@ -251,6 +264,10 @@ def run_grid(spec: GridSpec, workers: Optional[int] = None) -> list[Report]:
     ]
     if workers <= 1:
         return [_bench_task(task) for task in tasks]
+    # Imported here, so that CLI calls, which never run a parallel grid, do
+    # not load multiprocessing at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_bench_task, tasks))
 

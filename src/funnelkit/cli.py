@@ -27,7 +27,7 @@ from .analysis import (
     funnel_labeling,
     is_funnel_degree,
 )
-from .bench import GridSpec, run_grid, summarize, write_csv
+from .bench import GridSpec, parse_time_limit, run_grid, summarize, write_csv
 from .generator import (
     GenParams,
     InvalidFormula,
@@ -55,6 +55,13 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     """Raised for any problem with user-supplied files or arguments."""
+
+
+def _time_limit_arg(text: str) -> float:
+    try:
+        return parse_time_limit(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_source(path: str) -> str:
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     distance.add_argument(
         "--time-limit-ms",
-        type=float,
+        type=_time_limit_arg,
         default=None,
         metavar="MS",
         help="soft deadline for the exact solver",
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=None, help="override grid seed")
     bench.add_argument(
-        "--time-limit-ms", type=float, default=None, metavar="MS"
+        "--time-limit-ms", type=_time_limit_arg, default=None, metavar="MS"
     )
     bench.add_argument("--out", metavar="FILE", help="write the CSV here")
     bench.add_argument(

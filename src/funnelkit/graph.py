@@ -4,7 +4,9 @@ Vertices are dense integer ids ``0..vertex_count-1``; an arc is a
 ``(tail, head)`` pair.  A :class:`Dag` validates itself on construction
 (simple, acyclic) and precomputes arc-id adjacency tables plus a topological
 order, after which it is immutable: every edit returns a new instance, so
-values can be shared freely across threads and processes.
+values can be shared freely across threads and processes.  Construction
+sorts the arcs once (linear on an edge-list file, which is already sorted)
+and validates the sorted tables, so no per-arc hashing happens.
 
 Edge-list text format: one ``<tail> <head>`` pair per line, ``#`` comments and
 blank lines ignored, plus an optional leading header ``p <n> <m>`` declaring
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, islice
+from operator import eq, itemgetter, sub
 from typing import IO, Iterable, Optional, Union
 
 from .labeling import Labeling
@@ -64,63 +66,94 @@ def _offsets(n: int, ends: Iterable[int]) -> tuple[int, ...]:
     return tuple(accumulate(counts, initial=0))
 
 
+def _first_fault(n: int, arcs: list[Arc]) -> GraphError | ValueError:
+    """The error for the first arc, in input order, that is out of range, a
+    self-loop or a repeat of an earlier arc."""
+    seen: set[Arc] = set()
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"arc ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            return SelfLoop(f"self-loop at vertex {u}")
+        if (u, v) in seen:
+            return DuplicateArc(f"duplicate arc ({u}, {v})")
+        seen.add((u, v))
+    raise AssertionError("no faulty arc")
+
+
 class Dag:
     """Immutable simple DAG kept as read-only arc-id tables.
 
     An arc's id is its position in the sorted ``arcs``; ``tails[a]`` and
     ``heads[a]`` are its ends.  The out-arcs of ``u`` are the ids
     ``out_off[u]:out_off[u + 1]`` (head order), the in-arcs of ``v`` are
-    ``in_ids[in_off[v]:in_off[v + 1]]`` (tail order), and neighbor tuples are
-    slices, so every traversal of equal Dags is identical.  The topological
-    order comes from Kahn's algorithm with a min-id heap: ties always break
-    toward the smallest vertex id.
+    ``in_ids[in_off[v]:in_off[v + 1]]`` (tail order) and their tails are
+    ``in_tails`` over the same range, and neighbor tuples are slices, so
+    every traversal of equal Dags is identical.
+
+    Validation reads the sorted arcs: the range check is the first and last
+    tail and the extreme heads, a self-loop is ``tails[a] == heads[a]`` and
+    duplicates are adjacent.  Only when one of these fails is the input
+    scanned in its given order, so that the error names the same arc as a
+    per-arc check would.  ``arc_set`` is built on its first read.
+
+    The topological order is Kahn's with ties broken toward the smallest
+    ready id.  Ids are scanned in increasing order; a vertex that becomes
+    ready after the scan passed it goes on a min-heap, and the heap is
+    drained before the scan moves on.  Everything on the heap is below the
+    scan position and every ready vertex not on it is above, so each step
+    takes the smallest ready id, and a graph whose arcs all point to higher
+    ids never touches the heap.
     """
 
     __slots__ = (
         "_n", "_arcs", "_arc_set", "_topo",
-        "tails", "heads", "out_off", "in_off", "in_ids", "_in_tails",
+        "tails", "heads", "out_off", "in_off", "in_ids", "in_tails",
     )
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         n = self._n = int(vertex_count)
-        seen: set[Arc] = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise DuplicateArc(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-        self._arcs = tuple(sorted(seen))
-        self._arc_set = frozenset(seen)
-        self.tails = tuple(map(itemgetter(0), self._arcs))
-        self.heads = tuple(map(itemgetter(1), self._arcs))
-        self.out_off = _offsets(n, self.tails)
-        self.in_off = _offsets(n, self.heads)
+        given = list(map(tuple, arcs))  # arcs given as lists become tuples
+        ordered = sorted(given)
+        tails = self.tails = tuple(map(itemgetter(0), ordered))
+        heads = self.heads = tuple(map(itemgetter(1), ordered))
+        if ordered and (
+            tails[0] < 0 or tails[-1] >= n or min(heads) < 0 or max(heads) >= n
+            or any(map(eq, tails, heads))
+            or any(map(eq, ordered, islice(ordered, 1, None)))
+        ):
+            raise _first_fault(n, given)
+        self._arcs = tuple(ordered)
+        self._arc_set: Optional[ArcSet] = None
+        self.out_off = _offsets(n, tails)
+        self.in_off = _offsets(n, heads)
         # sorted() is stable, so ids with equal heads stay in tail order.
-        by_head = sorted(range(len(self._arcs)), key=self.heads.__getitem__)
+        by_head = sorted(range(len(ordered)), key=heads.__getitem__)
         self.in_ids = array("i", by_head)
-        # Tails in in_ids order, so that in_neighbors is a slice as well.
-        self._in_tails = tuple(map(self.tails.__getitem__, by_head))
+        self.in_tails = tuple(map(tails.__getitem__, by_head))
         self._topo = self._kahn()
 
     def _kahn(self) -> tuple[int, ...]:
-        heads, out_off, in_off = self.heads, self.out_off, self.in_off
-        indeg = [in_off[v + 1] - in_off[v] for v in range(self._n)]
-        ready = [v for v in range(self._n) if indeg[v] == 0]
-        heapq.heapify(ready)
+        n, heads, out_off, in_off = self._n, self.heads, self.out_off, self.in_off
+        indeg = list(map(sub, islice(in_off, 1, None), in_off))
         order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for w in heads[out_off[v] : out_off[v + 1]]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(order) != self._n:
+        behind: list[int] = []  # min-heap of ready vertices the scan has passed
+        for s in range(n):
+            if indeg[s]:
+                continue
+            v = s
+            while True:
+                order.append(v)
+                for w in heads[out_off[v] : out_off[v + 1]]:
+                    indeg[w] -= 1
+                    if not indeg[w] and w < s:
+                        heapq.heappush(behind, w)
+                if not behind:
+                    break
+                v = heapq.heappop(behind)
+        if len(order) != n:
             raise CycleDetected("input digraph contains a directed cycle")
         return tuple(order)
 
@@ -140,6 +173,8 @@ class Dag:
 
     @property
     def arc_set(self) -> ArcSet:
+        if self._arc_set is None:
+            self._arc_set = frozenset(self._arcs)
         return self._arc_set
 
     @property
@@ -153,7 +188,7 @@ class Dag:
         return self.heads[self.out_off[v] : self.out_off[v + 1]]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in_tails[self.in_off[v] : self.in_off[v + 1]]
+        return self.in_tails[self.in_off[v] : self.in_off[v + 1]]
 
     def out_degree(self, v: int) -> int:
         return self.out_off[v + 1] - self.out_off[v]

@@ -221,3 +221,105 @@ def test_deletion_set_matches_the_neighbor_based_reference():
             assert arc_deletion_set(dag, canonical) == frozenset()
             assert _reference_deletion_set(dag, canonical) == frozenset()
     assert funnels > 50
+
+
+def _reference_greedy_relabel(dag, labeling, fixpoint=False):
+    """greedy_relabel as it was written over a Labeling, with closures."""
+    labeling.require_total()
+    labels = labeling.copy()
+    n = dag.vertex_count
+    fork_in = [
+        sum(1 for u in dag.in_neighbors(v) if labels[u] is Label.FORK)
+        for v in range(n)
+    ]
+    merge_out = [
+        sum(1 for w in dag.out_neighbors(v) if labels[w] is Label.MERGE)
+        for v in range(n)
+    ]
+
+    def in_cost(v):
+        if labels[v] is Label.MERGE:
+            return 0
+        return dag.in_degree(v) - 1 if fork_in[v] >= 1 else dag.in_degree(v)
+
+    def out_cost(v):
+        if labels[v] is Label.FORK:
+            return 0
+        return dag.out_degree(v) - 1 if merge_out[v] >= 1 else dag.out_degree(v)
+
+    def flip_delta(v):
+        old = labels[v]
+        delta = -(in_cost(v) + out_cost(v))
+        mf_gone = 0
+        mf_new = 0
+        if old is Label.FORK:
+            for u in dag.in_neighbors(v):
+                if labels[u] is Label.MERGE:
+                    mf_gone += 1
+                    if merge_out[u] == 0:
+                        delta -= 1
+            for w in dag.out_neighbors(v):
+                if labels[w] is Label.FORK:
+                    mf_new += 1
+                    if fork_in[w] == 1:
+                        delta += 1
+        else:
+            for w in dag.out_neighbors(v):
+                if labels[w] is Label.FORK:
+                    mf_gone += 1
+                    if fork_in[w] == 0:
+                        delta -= 1
+            for u in dag.in_neighbors(v):
+                if labels[u] is Label.MERGE:
+                    mf_new += 1
+                    if merge_out[u] == 1:
+                        delta += 1
+        labels[v] = Label.MERGE if old is Label.FORK else Label.FORK
+        delta += in_cost(v) + out_cost(v)
+        labels[v] = old
+        return delta + mf_gone - mf_new
+
+    def commit(v):
+        old = labels[v]
+        labels[v] = Label.MERGE if old is Label.FORK else Label.FORK
+        if old is Label.FORK:
+            for w in dag.out_neighbors(v):
+                fork_in[w] -= 1
+            for u in dag.in_neighbors(v):
+                merge_out[u] += 1
+        else:
+            for w in dag.out_neighbors(v):
+                fork_in[w] += 1
+            for u in dag.in_neighbors(v):
+                merge_out[u] -= 1
+
+    while True:
+        flipped = False
+        for v in dag.topo_order:
+            if flip_delta(v) < 0:
+                commit(v)
+                flipped = True
+        if not (fixpoint and flipped):
+            break
+    return labels, arc_deletion_set(dag, labels)
+
+
+def test_relabel_matches_the_closure_based_reference():
+    rng = SplitMix64(307)
+    flips = 0
+    for _ in range(300):
+        n = 1 + rng.below(12)
+        # Shuffled ids, so that the topological order is not the identity.
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        dag = Dag(n, [(perm[u], perm[v]) for u, v in random_dag(rng, n, 35).arcs])
+        labels = Labeling(
+            [Label.FORK if rng.below(2) else Label.MERGE for _ in range(n)]
+        )
+        for fixpoint in (False, True):
+            got = greedy_relabel(dag, labels, fixpoint)
+            assert got == _reference_greedy_relabel(dag, labels, fixpoint)
+            flips += got[0] != labels
+    assert flips > 100

@@ -279,6 +279,30 @@ def test_bench_bad_worker_count(tmp_path, capsys, monkeypatch, value):
     assert "FUNNELKIT_WORKERS" in _bench_error(["--grid", str(grid)], capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "-5", "abc"])
+@pytest.mark.parametrize("command", ["distance", "bench"])
+def test_time_limit_must_be_finite_and_non_negative(d0_file, capsys, command, value):
+    # NaN never expires and a negative limit expires at once.
+    argv = [command, f"--time-limit-ms={value}"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv + [d0_file] if command == "distance" else argv)
+    assert stop.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--time-limit-ms" in errors[0]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-5", '"nan"'])
+def test_grid_time_limit_must_be_finite_and_non_negative(tmp_path, capsys, value):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [8], "replicates": 1, "time_limit_ms": %s}' % value)
+    assert "time limit" in _bench_error(["--grid", str(grid)], capsys)
+
+
+def test_zero_time_limit_is_accepted(d0_file, capsys):
+    assert main(["distance", "--mode", "exact", "--time-limit-ms", "0", d0_file]) == 0
+    assert "exact_size" in json.loads(capsys.readouterr().out)
+
+
 # ---- the installed entry point ----
 
 

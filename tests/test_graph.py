@@ -54,6 +54,35 @@ def test_validation_errors():
         Dag(2, [(0, 1), (0, 1)])
     with pytest.raises(CycleDetected):
         Dag(3, [(0, 1), (1, 2), (2, 0)])
+    # Unsorted input: each fault is found wherever it sits and named.
+    with pytest.raises(ValueError, match=r"arc \(-1, 2\) out of range"):
+        Dag(4, [(2, 3), (-1, 2), (0, 1)])
+    with pytest.raises(ValueError, match=r"arc \(2, -3\) out of range"):
+        Dag(4, [(2, 3), (2, -3), (0, 1)])
+    with pytest.raises(ValueError, match=r"arc \(1, 4\) out of range"):
+        Dag(4, [(2, 3), (1, 4), (0, 1)])
+    with pytest.raises(DuplicateArc, match=r"duplicate arc \(1, 3\)"):
+        Dag(4, [(1, 3), (0, 1), (2, 3), (0, 2), (1, 3)])
+    with pytest.raises(SelfLoop, match="self-loop at vertex 2"):
+        Dag(4, [(1, 3), (0, 1), (2, 2), (0, 2)])
+    # Faults are reported in input order, whatever their kind.
+    with pytest.raises(SelfLoop):
+        Dag(4, [(2, 2), (0, 9)])
+    with pytest.raises(DuplicateArc):
+        Dag(4, [(0, 1), (0, 1), (3, 3)])
+
+
+def test_arcs_as_lists_and_the_lazy_arc_set():
+    arcs = [(2, 3), (0, 1), (1, 3), (0, 2)]
+    dag = Dag(4, arcs)
+    assert Dag(4, [list(arc) for arc in arcs]) == dag
+    assert Dag(4, iter(arcs)) == dag
+    assert dag.arc_set == frozenset(arcs)
+    assert dag.arc_set is dag.arc_set
+    with pytest.raises(ArcNotPresent):
+        delete_arcs(dag, [(0, 3)])
+    with pytest.raises(ArcNotPresent):
+        emit_dot(dag, highlight=[(3, 2)])
 
 
 def test_topological_order_is_min_id_kahn():
