@@ -194,18 +194,6 @@ def funnel_labeling(dag: Dag) -> Labeling:
     return labels
 
 
-def constrained_arcs(
-    dag: Dag, v: int, lab: Optional[Label]
-) -> tuple[Sequence[int], Sequence[int]]:
-    """Ids of the arcs ``lab`` limits at ``v``, and the table of their far ends:
-    a Fork's in-arcs and their tails, a Merge's out-arcs and their heads."""
-    if lab is Label.FORK:
-        return dag.in_arcs(v), dag.tails
-    if lab is Label.MERGE:
-        return dag.out_arcs(v), dag.heads
-    return (), ()
-
-
 def doomed_arcs(
     dag: Dag, v: int, labels: Sequence[Optional[Label]], alive: Sequence[int]
 ) -> list[int]:
@@ -215,7 +203,12 @@ def doomed_arcs(
     ``alive`` is a mask over arc ids; an unlabeled vertex dooms nothing.
     """
     lab = labels[v]
-    ids, ends = constrained_arcs(dag, v, lab)
+    if lab is Label.FORK:
+        ids, ends = dag.in_arcs(v), dag.tails
+    elif lab is Label.MERGE:
+        ids, ends = dag.out_arcs(v), dag.heads
+    else:
+        return []
     live = [a for a in ids if alive[a]]
     for keep in live:
         if labels[ends[keep]] is lab:

@@ -65,13 +65,15 @@ def _time_limit_arg(text: str) -> float:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
 def _load_dag(path: str, condense: bool) -> Dag:

@@ -12,11 +12,15 @@ fixpoint at every node:
   are deleted -- every Merge-to-Fork arc, all but one in-arc of a Fork vertex
   with a Fork in-neighbor (smallest id kept), and symmetrically for Merge.
 
-When no rule fires the solver branches: either on the label of the first
-(in topological order) vertex whose in- or out-neighborhood pins it down,
-or on which single in-arc of an unsatisfied Fork vertex survives (again
-symmetrically for Merge).  If neither branch applies the live graph is a
-funnel and the labeling is total; this is asserted at every leaf.
+When no rule fires the solver branches on the label of the first unlabeled
+vertex in topological order; it is the only branching rule.  All of that
+vertex's in-neighbors come earlier in the order, so they are labeled and the
+satisfy-label rule acts on its in-arcs as soon as it gets its own label.
+Once the labeling is total, the satisfy-label fixpoint leaves no vertex with
+doomed arcs: every Fork has live in-degree at most 1 and every Merge live
+out-degree at most 1, so the live graph is a funnel and the node is a leaf.
+Undoing a child restores the parent's reduced state, so this holds at every
+node, not only the root.  The claim is re-checked at every leaf.
 
 Nodes are pruned against the best known solution using a certificate
 packing: arc-disjoint obstructions each force one deletion, so their count
@@ -39,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .analysis import constrained_arcs, doomed_arcs
+from .analysis import doomed_arcs
 from .approx import approximate_addf
 from .graph import Arc, ArcSet, Dag
 from .labeling import Label, Labeling
@@ -111,7 +115,7 @@ class SolverStats:
     rr1: int = 0  # labels set by the set-label rule
     rr2: int = 0  # arcs deleted by the satisfy-label rule
     br1: int = 0  # label branches taken
-    br2: int = 0  # arc-keep branches taken
+    br2: int = 0  # arc-keep branches; label branching alone finishes, so 0
     pruned: int = 0
     leaves: int = 0
     timed_out: bool = False
@@ -136,7 +140,6 @@ class Solver:
         seed_with_approx: bool = True,
         time_limit_ms: Optional[float] = None,
         trace: Optional[Callable[[str], None]] = None,
-        use_rr1: bool = True,
     ):
         self.dag = dag
         self.stats = SolverStats()
@@ -147,7 +150,6 @@ class Solver:
         self._solution: list[Arc] = []
         self._trail: list[int] = []  # arc id a >= 0, or ~v for a label of v
         self._trace = trace
-        self._use_rr1 = use_rr1
         self._deadline = (
             time.monotonic() + time_limit_ms / 1000.0
             if time_limit_ms is not None
@@ -248,8 +250,6 @@ class Solver:
                     pending.append(x)
 
             if self._labels[v] is None:
-                if not self._use_rr1:
-                    continue
                 lab = self._rule_label(v)
                 if lab is None:
                     continue
@@ -270,35 +270,6 @@ class Solver:
                 wake(u)
                 wake(w)
 
-    # ---- branching ----
-
-    def _branch_label_candidate(self) -> Optional[int]:
-        """First unlabeled vertex (topo order) whose neighborhood pins it."""
-        labels = self._labels
-        for v in self.dag.topo_order:
-            if labels[v] is not None:
-                continue
-            ins = self._live_in_neighbors(v)
-            if all(labels[u] is not None for u in ins) or any(
-                labels[u] is Label.FORK for u in ins
-            ):
-                return v
-            outs = self._live_out_neighbors(v)
-            if all(labels[w] is not None for w in outs) or any(
-                labels[w] is Label.MERGE for w in outs
-            ):
-                return v
-        return None
-
-    def _branch_arcs_candidate(self) -> Optional[int]:
-        """First labeled vertex still violating its degree constraint."""
-        for v in self.dag.topo_order:
-            if self._labels[v] is Label.FORK and self._live_in[v] > 1:
-                return v
-            if self._labels[v] is Label.MERGE and self._live_out[v] > 1:
-                return v
-        return None
-
     # ---- search ----
 
     def _lower_bound_live(self) -> int:
@@ -316,9 +287,6 @@ class Solver:
 
     def _node(self, seeds) -> None:
         self.stats.nodes += 1
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self.stats.timed_out = True
-            return
         self._reduce(seeds)
         size = len(self._solution)
         if size >= self._cutoff():
@@ -330,44 +298,32 @@ class Solver:
             self.stats.pruned += 1
             self._say(f"prune {size}+{bound}")
             return
-        v = self._branch_label_candidate()
-        if v is not None:
-            for lab in (Label.FORK, Label.MERGE):
-                mark = len(self._trail)
-                self._set_label(v, lab)
-                self.stats.br1 += 1
-                self._say(f"br1 {v} {lab.value}")
-                self._node([v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)])
-                self._undo_to(mark)
-                if self.stats.timed_out:
-                    return
+        labels = self._labels
+        v = next((v for v in self.dag.topo_order if labels[v] is None), None)
+        if v is None:
+            self.stats.leaves += 1
+            self._check_leaf()
+            self._say(f"leaf {size}")
+            if size < self._best_size:
+                self._best_size = size
+                self._best_set = frozenset(self._solution)
+                self._best_labels = Labeling(self._labels)
+                self._say(f"best {size}")
             return
-        v = self._branch_arcs_candidate()
-        if v is not None:
-            ids, ends = constrained_arcs(self.dag, v, self._labels[v])
-            arcs = [a for a in ids if self._alive[a]]
-            touched = sorted({v, *(ends[a] for a in arcs)})
-            for kept in arcs:
-                mark = len(self._trail)
-                for a in arcs:
-                    if a != kept:
-                        self._delete_arc(a)
-                self.stats.br2 += 1
-                u, w = self.dag.arcs[kept]
-                self._say(f"br2 {v} keep {u}->{w}")
-                self._node(touched)
-                self._undo_to(mark)
-                if self.stats.timed_out:
-                    return
+        # Past the deadline a node still reduces and prunes, so a search
+        # whose gap is already closed does not report a timeout.
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            self.stats.timed_out = True
             return
-        self.stats.leaves += 1
-        self._check_leaf()
-        self._say(f"leaf {size}")
-        if size < self._best_size:
-            self._best_size = size
-            self._best_set = frozenset(self._solution)
-            self._best_labels = Labeling(self._labels)
-            self._say(f"best {size}")
+        for lab in (Label.FORK, Label.MERGE):
+            mark = len(self._trail)
+            self._set_label(v, lab)
+            self.stats.br1 += 1
+            self._say(f"br1 {v} {lab.value}")
+            self._node([v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)])
+            self._undo_to(mark)
+            if self.stats.timed_out:
+                return
 
     def run(self) -> ExactResult:
         self._node(list(self.dag.vertices()))
@@ -393,8 +349,9 @@ def solve_addf(
     Seeds the incumbent with the factor-2 approximation (or the caller's
     bound when that is smaller) and explores the reduced branching tree,
     pruning on the obstruction-packing lower bound.  With a time limit the
-    incumbent so far is returned and ``stats.timed_out`` is set; the
-    distance is then only an upper bound.
+    incumbent so far is returned, and ``stats.timed_out`` is set when the
+    search stopped with the gap still open; the distance is then only an
+    upper bound.
     """
     return Solver(
         dag,

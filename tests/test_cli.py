@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from funnelkit import emit_edge_list
+from funnelkit import SplitMix64, emit_edge_list
 from funnelkit.cli import main
-from samples import D0, DIAMOND, FUNNEL_8
+from samples import D0, DIAMOND, FUNNEL_8, NEAR_FUNNEL_8
 
 
 @pytest.fixture
@@ -85,6 +85,63 @@ def test_vertex_count_is_bounded_before_allocating(tmp_path, capsys, text, line,
     assert line in err
 
 
+@pytest.mark.parametrize("command", ["check", "distance", "generate"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"0 1\n\xff\n")
+    argv = [command, str(path)]
+    if command == "generate":
+        argv = [command, "--cnf", str(path), "--out", str(tmp_path / "inst")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
+_FUZZ_TOKENS = [
+    b" ", b"\n", b"\t", b"\r\n", b"#", b"p", b"p 3 2\n", b"-1", b"1", b"9",
+    b"\n0 5\n", b"\n3 7\n", b"\n0 2\n", b"\n2 2\n", b"\n6 1\n", b"\n1 9\n",
+    b"1.5", b"nan", b"1e3", b"99999999999", b"\x00", b"\xff", "\u00e9".encode(),
+]
+_FUZZ_BYTES = [bytes([b]) for b in b"0123456789 \n\t-p#"]
+_FUZZ_ARGVS = [
+    ["check"],
+    ["check", "--condense"],
+    ["distance", "--mode", "approx"],
+    ["distance", "--mode", "lower"],
+    ["distance", "--mode", "exact", "--time-limit-ms", "50"],
+]
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """One to three seeded edits: insert a byte, delete a span, insert junk."""
+    for _ in range(1 + rng.below(3)):
+        at = rng.below(len(data) + 1)
+        kind = rng.below(3)
+        if kind == 0:
+            data = data[:at] + _FUZZ_BYTES[rng.below(len(_FUZZ_BYTES))] + data[at:]
+        elif kind == 1:
+            data = data[:at] + data[at + 1 + rng.below(4):]
+        else:
+            data = data[:at] + _FUZZ_TOKENS[rng.below(len(_FUZZ_TOKENS))] + data[at:]
+    return data
+
+
+def test_mutated_edge_lists_never_raise(tmp_path, capsys):
+    # Every outcome is an answer (0 or 1) or a one-line input error (2).
+    text = emit_edge_list(NEAR_FUNNEL_8)
+    bases = [text.encode(), text.split("\n", 1)[1].encode()]  # with and without header
+    rng = SplitMix64(77)
+    path = tmp_path / "fuzz.edges"
+    for i in range(300):
+        path.write_bytes(_mutate(rng, bases[i % 2]))
+        for argv in _FUZZ_ARGVS:
+            code = main([*argv, str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1)
+
+
 # ---- distance ----
 
 
@@ -98,6 +155,16 @@ def test_distance_json(d0_file, capsys):
     assert data["approx_ratio"] == 1.0
     assert data["timed_out"] is False
     assert "timings_ms" not in data
+
+
+def test_zero_time_limit_with_nothing_left_to_search(tmp_path, capsys):
+    # One arc is a funnel: the root settles it, so no search was cut short.
+    path = tmp_path / "one.edges"
+    path.write_text("0 1\n")
+    assert main(["distance", str(path), "--mode", "exact", "--time-limit-ms", "0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["exact_size"] == 0
+    assert data["timed_out"] is False
 
 
 def test_distance_mode_approx_only(d0_file, capsys):
