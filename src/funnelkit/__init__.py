@@ -45,6 +45,7 @@ from .generator import (
     derive_seed,
     generate_planted_funnel,
     parse_dimacs,
+    planted_instance,
     reduce_3sat,
 )
 from .graph import (
@@ -70,6 +71,7 @@ from .oracles import (
     TooLarge,
     brute_force_addf,
     is_funnel_by_path_enumeration,
+    labeling_enumeration_addf,
     sat_oracle,
 )
 
@@ -122,11 +124,13 @@ __all__ = [
     "is_funnel_by_path_enumeration",
     "is_funnel_degree",
     "is_funnel_private_arc",
+    "labeling_enumeration_addf",
     "lower_bound",
     "max_arc_bound",
     "parse_dimacs",
     "parse_edge_list",
     "path_counts",
+    "planted_instance",
     "read_arc_list",
     "reduce_3sat",
     "run_grid",

@@ -31,8 +31,8 @@ from typing import Optional
 
 from .analysis import is_funnel_degree
 from .approx import approximate_addf
-from .exact import lower_bound, solve_addf
-from .generator import GenParams, add_noise_arcs, derive_seed, generate_planted_funnel
+from .exact import Solver, lower_bound
+from .generator import GenParams, derive_seed, planted_instance
 from .graph import Dag
 
 REPORT_SCHEMA = "funnelkit-report/1"
@@ -137,21 +137,19 @@ def analyze(
         start = time.perf_counter()
         report.lower_bound = lower_bound(dag)
         report.timings_ms["lower"] = (time.perf_counter() - start) * 1000
+    approx = None
     if mode in ("approx", "all"):
         start = time.perf_counter()
-        report.approx_size = approximate_addf(dag).size
+        approx = approximate_addf(dag)
+        report.approx_size = approx.size
         report.timings_ms["approx"] = (time.perf_counter() - start) * 1000
     if mode in ("exact", "all"):
         start = time.perf_counter()
-        result = solve_addf(dag, time_limit_ms=time_limit_ms)
+        result = Solver(dag, incumbent=approx, time_limit_ms=time_limit_ms).run()
         report.timings_ms["exact"] = (time.perf_counter() - start) * 1000
         report.exact_size = result.distance
         report.timed_out = result.stats.timed_out
-    if (
-        report.approx_size is not None
-        and report.exact_size is not None
-        and not report.timed_out
-    ):
+    if approx is not None and report.exact_size is not None and not report.timed_out:
         report.approx_ratio = (
             report.approx_size / report.exact_size if report.exact_size else 1.0
         )
@@ -196,25 +194,25 @@ class GridSpec:
             raw = json.load(handle)
         if not isinstance(raw, dict):
             raise ValueError("grid spec must be a JSON object")
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ValueError("unknown grid keys: " + ", ".join(unknown))
-        for key, kinds in (("ns", int), ("ps", (int, float)), ("ss", int)):
-            for value in raw.get(key, ()):
-                if isinstance(value, bool) or not isinstance(value, kinds):
-                    raise ValueError(f"grid key {key!r} holds non-numeric {value!r}")
         base = cls()
-        return cls(
-            ns=tuple(raw.get("ns", base.ns)),
-            ps=tuple(raw.get("ps", base.ps)),
-            ss=tuple(raw.get("ss", base.ss)),
-            replicates=int(raw.get("replicates", base.replicates)),
-            time_limit_ms=parse_time_limit(
-                raw.get("time_limit_ms", base.time_limit_ms)
-            ),
-            seed=int(raw.get("seed", base.seed)),
-        )
+        given = {f.name: raw.pop(f.name, getattr(base, f.name)) for f in fields(cls)}
+        if raw:
+            raise ValueError("unknown grid keys: " + ", ".join(sorted(raw)))
+        for key, kinds in (("ns", int), ("ps", (int, float)), ("ss", int)):
+            if not isinstance(given[key], (list, tuple)) or not given[key]:
+                raise ValueError(f"grid key {key!r} must be a non-empty list")
+            given[key] = tuple(given[key])
+            for item in given[key]:
+                if isinstance(item, bool) or not isinstance(item, kinds):
+                    raise ValueError(f"grid key {key!r} holds non-numeric {item!r}")
+        for key in ("replicates", "seed"):
+            item = given[key]
+            if isinstance(item, bool) or not isinstance(item, int):
+                raise ValueError(f"grid key {key!r} must be an integer, got {item!r}")
+        if given["replicates"] < 1:
+            raise ValueError("grid key 'replicates' must be >= 1")
+        given["time_limit_ms"] = parse_time_limit(given["time_limit_ms"])
+        return cls(**given)
 
     def instances(self):
         index = 0
@@ -231,15 +229,9 @@ class GridSpec:
 
 def _bench_task(args: tuple[str, GenParams, float]) -> Report:
     instance, params, time_limit_ms = args
-    funnel, _ = generate_planted_funnel(params)
-    dag = add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
+    dag, _ = planted_instance(params)
     return analyze(
-        dag,
-        instance,
-        mode="all",
-        time_limit_ms=time_limit_ms,
-        seed=params.seed,
-        gen=params,
+        dag, instance, time_limit_ms=time_limit_ms, seed=params.seed, gen=params
     )
 
 

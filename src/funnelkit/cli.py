@@ -27,14 +27,13 @@ from .analysis import (
     funnel_labeling,
     is_funnel_degree,
 )
-from .bench import GridSpec, parse_time_limit, run_grid, summarize, write_csv
+from .bench import GridSpec, analyze, parse_time_limit, run_grid, summarize, write_csv
 from .generator import (
     GenParams,
     InvalidFormula,
     NotEnoughSlots,
-    add_noise_arcs,
-    generate_planted_funnel,
     parse_dimacs,
+    planted_instance,
     reduce_3sat,
 )
 from .graph import (
@@ -46,7 +45,7 @@ from .graph import (
 )
 from .labeling import Labeling
 
-GEN_SCHEMA = "funnelkit-gen/1"
+GEN_SCHEMA = "funnelkit-gen/2"
 
 EXIT_OK = 0
 EXIT_NOT_FUNNEL = 1
@@ -105,8 +104,6 @@ def cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def cmd_distance(args: argparse.Namespace, out: IO[str]) -> int:
-    from .bench import analyze
-
     dag = _load_dag(args.path, args.condense)
     report = analyze(
         dag,
@@ -148,10 +145,7 @@ def cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
             raise InputError("generate needs either --n or --cnf")
         try:
             params = GenParams(n=args.n, p=args.p, s=args.s, seed=args.seed)
-            dag, labeling = generate_planted_funnel(params)
-            if params.s:
-                dag = add_noise_arcs(dag, params.s, params.seed + 1)
-                labeling = None
+            dag, labeling = planted_instance(params)
         except (ValueError, NotEnoughSlots) as exc:
             raise InputError(str(exc)) from exc
         meta = {

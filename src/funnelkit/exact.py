@@ -22,18 +22,25 @@ out-degree at most 1, so the live graph is a funnel and the node is a leaf.
 Undoing a child restores the parent's reduced state, so this holds at every
 node, not only the root.  The claim is re-checked at every leaf.
 
-Nodes are pruned against the best known solution using a certificate
-packing: arc-disjoint obstructions each force one deletion, so their count
-lower-bounds the remaining work.  The live graph is a ``bytearray`` mask over
-the arc ids of the Dag's own tables; a packing works on copies of the mask
-and of the live degrees, so a vertex with too few free arcs is passed over
-without a scan.  A vertex short of a fork has at most one free out-arc, so
-the forward search from a vertex is a walk.  When a walk fails, every vertex
-on it has at most one free out-arc, leading on along the walk to a dead end.
-Free arcs only disappear during a packing, so none of those vertices can
-ever reach a fork again: the packing marks them dead and later walks stop
-at them.  That keeps the count of a plain search and makes failing walks
-linear work in total.
+The search is depth-first from an explicit stack of (trail mark, vertex,
+label) entries, Fork child first; popping one undoes the trail to its mark,
+so the Python stack stays flat however deep the search goes.
+``time_limit_ms`` starts when the :class:`Solver` is built and is checked
+only before a branch, so the approximation and the root's reductions and
+bound run past it.
+
+Nodes are pruned against the incumbent (the caller's ``incumbent=``, else
+the approximation) using a certificate packing: arc-disjoint obstructions
+each force one deletion, so their count lower-bounds the remaining work.
+The live graph is a ``bytearray`` mask over the arc ids of the Dag's own
+tables; a packing works on copies of the mask and of the live degrees, so a
+vertex with too few free arcs is passed over without a scan.  A vertex short
+of a fork has at most one free out-arc, so the forward search from a vertex
+is a walk.  When a walk fails, every vertex on it has at most one free
+out-arc, leading on along the walk to a dead end.  Free arcs only disappear
+during a packing, so none of those vertices can ever reach a fork again: the
+packing marks them dead and later walks stop at them.  That keeps the count
+of a plain search and makes failing walks linear work in total.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import doomed_arcs
-from .approx import approximate_addf
-from .graph import Arc, ArcSet, Dag
+from .approx import ApproxResult, approximate_addf
+from .graph import ArcSet, Dag
 from .labeling import Label, Labeling
 
 
@@ -130,14 +137,17 @@ class ExactResult:
 
 
 class Solver:
-    """Branch-and-bound state: live arc view, labels, trail, incumbent."""
+    """Branch-and-bound state: live arc view, labels, trail, incumbent.
+
+    ``incumbent`` is the starting solution (default: the approximation).
+    """
 
     def __init__(
         self,
         dag: Dag,
         initial_upper_bound: Optional[int] = None,
         *,
-        seed_with_approx: bool = True,
+        incumbent: Optional[ApproxResult] = None,
         time_limit_ms: Optional[float] = None,
         trace: Optional[Callable[[str], None]] = None,
     ):
@@ -147,7 +157,7 @@ class Solver:
         self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
         self._live_in = [dag.in_degree(v) for v in dag.vertices()]
         self._live_out = [dag.out_degree(v) for v in dag.vertices()]
-        self._solution: list[Arc] = []
+        self._deleted = 0  # arc ids on the trail
         self._trail: list[int] = []  # arc id a >= 0, or ~v for a label of v
         self._trace = trace
         self._deadline = (
@@ -155,28 +165,20 @@ class Solver:
             if time_limit_ms is not None
             else None
         )
-        self._best_set: Optional[frozenset[Arc]] = None
-        self._best_labels: Optional[Labeling] = None
-        self._best_size = len(dag.arcs) + 1  # worse than any real solution
-        if seed_with_approx:
-            approx = approximate_addf(dag)
-            self._best_set = approx.deletion_set
-            self._best_labels = approx.labeling
-            self._best_size = approx.size
-        self._ub_cap = (
-            initial_upper_bound + 1 if initial_upper_bound is not None else None
-        )
+        if incumbent is None:
+            incumbent = approximate_addf(dag)
+        self._best_set = incumbent.deletion_set
+        self._best_labels = incumbent.labeling
+        # Only solutions smaller than this are worth a node.
+        self._cutoff = len(self._best_set)
+        if initial_upper_bound is not None:
+            self._cutoff = min(self._cutoff, initial_upper_bound + 1)
 
     # ---- bookkeeping ----
 
     def _say(self, line: str) -> None:
         if self._trace is not None:
             self._trace(line)
-
-    def _cutoff(self) -> int:
-        if self._ub_cap is not None:
-            return min(self._best_size, self._ub_cap)
-        return self._best_size
 
     def _set_label(self, v: int, lab: Label) -> None:
         self._labels[v] = lab
@@ -186,7 +188,7 @@ class Solver:
         self._alive[a] = 0
         self._live_out[self.dag.tails[a]] -= 1
         self._live_in[self.dag.heads[a]] -= 1
-        self._solution.append(self.dag.arcs[a])
+        self._deleted += 1
         self._trail.append(a)
 
     def _undo_to(self, mark: int) -> None:
@@ -198,7 +200,7 @@ class Solver:
                 self._alive[a] = 1
                 self._live_out[self.dag.tails[a]] += 1
                 self._live_in[self.dag.heads[a]] += 1
-                self._solution.pop()
+                self._deleted -= 1
 
     def _live_in_neighbors(self, v: int) -> list[int]:
         tails, alive = self.dag.tails, self._alive
@@ -243,12 +245,6 @@ class Solver:
         while pending:
             v = pending.popleft()
             queued.discard(v)
-
-            def wake(x: int) -> None:
-                if x not in queued:
-                    queued.add(x)
-                    pending.append(x)
-
             if self._labels[v] is None:
                 lab = self._rule_label(v)
                 if lab is None:
@@ -256,24 +252,21 @@ class Solver:
                 self._set_label(v, lab)
                 self.stats.rr1 += 1
                 self._say(f"rr1 {v} {lab.value}")
-                wake(v)
-                for u in self._live_in_neighbors(v):
-                    wake(u)
-                for w in self._live_out_neighbors(v):
-                    wake(w)
-                continue
-            for a in doomed_arcs(self.dag, v, self._labels, self._alive):
-                u, w = self.dag.arcs[a]
-                self._delete_arc(a)
-                self.stats.rr2 += 1
-                self._say(f"rr2 {u}->{w}")
-                wake(u)
-                wake(w)
+                woken = [v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)]
+            else:
+                woken = []
+                for a in doomed_arcs(self.dag, v, self._labels, self._alive):
+                    u, w = self.dag.arcs[a]
+                    self._delete_arc(a)
+                    self.stats.rr2 += 1
+                    self._say(f"rr2 {u}->{w}")
+                    woken += (u, w)
+            for x in woken:
+                if x not in queued:
+                    queued.add(x)
+                    pending.append(x)
 
     # ---- search ----
-
-    def _lower_bound_live(self) -> int:
-        return _pack(self.dag, self._alive, self._live_in, self._live_out)
 
     def _check_leaf(self) -> None:
         # Completeness: with no rule or branch applicable, the labeling must
@@ -285,52 +278,60 @@ class Solver:
             if doomed_arcs(self.dag, v, self._labels, self._alive):
                 raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
-    def _node(self, seeds) -> None:
+    def _node(self, seeds) -> Optional[int]:
+        """Reduce, then prune or record a leaf; the vertex to branch on, or None."""
         self.stats.nodes += 1
         self._reduce(seeds)
-        size = len(self._solution)
-        if size >= self._cutoff():
+        size = self._deleted
+        if size >= self._cutoff:
             self.stats.pruned += 1
             self._say(f"prune {size}")
-            return
-        bound = self._lower_bound_live()
-        if size + bound >= self._cutoff():
+            return None
+        bound = _pack(self.dag, self._alive, self._live_in, self._live_out)
+        if size + bound >= self._cutoff:
             self.stats.pruned += 1
             self._say(f"prune {size}+{bound}")
-            return
+            return None
         labels = self._labels
         v = next((v for v in self.dag.topo_order if labels[v] is None), None)
         if v is None:
             self.stats.leaves += 1
             self._check_leaf()
             self._say(f"leaf {size}")
-            if size < self._best_size:
-                self._best_size = size
-                self._best_set = frozenset(self._solution)
-                self._best_labels = Labeling(self._labels)
-                self._say(f"best {size}")
-            return
+            # Past both prunes, so the leaf beats the incumbent.
+            arcs = self.dag.arcs
+            self._best_set = frozenset(arcs[a] for a in self._trail if a >= 0)
+            self._best_labels = Labeling(labels)
+            self._cutoff = size
+            self._say(f"best {size}")
+            return None
         # Past the deadline a node still reduces and prunes, so a search
         # whose gap is already closed does not report a timeout.
         if self._deadline is not None and time.monotonic() > self._deadline:
             self.stats.timed_out = True
-            return
-        for lab in (Label.FORK, Label.MERGE):
-            mark = len(self._trail)
+            return None
+        return v
+
+    def run(self) -> ExactResult:
+        """Depth-first search from a stack of (trail mark, vertex, label)."""
+        stack: list[tuple[int, int, Label]] = []
+        v = self._node(self.dag.vertices())
+        while True:
+            if v is not None:
+                mark = len(self._trail)
+                stack += ((mark, v, Label.MERGE), (mark, v, Label.FORK))
+            if not stack or self.stats.timed_out:
+                break
+            mark, v, lab = stack.pop()
+            self._undo_to(mark)
             self._set_label(v, lab)
             self.stats.br1 += 1
             self._say(f"br1 {v} {lab.value}")
-            self._node([v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)])
-            self._undo_to(mark)
-            if self.stats.timed_out:
-                return
-
-    def run(self) -> ExactResult:
-        self._node(list(self.dag.vertices()))
-        if self._best_set is None:
-            raise RuntimeError("no solution within the given upper bound")
+            v = self._node(
+                [v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)]
+            )
         return ExactResult(
-            distance=self._best_size,
+            distance=len(self._best_set),
             deletion_set=self._best_set,
             labeling=self._best_labels.copy(),
             stats=self.stats,
@@ -353,9 +354,5 @@ def solve_addf(
     search stopped with the gap still open; the distance is then only an
     upper bound.
     """
-    return Solver(
-        dag,
-        initial_upper_bound,
-        time_limit_ms=time_limit_ms,
-        trace=trace,
-    ).run()
+    solver = Solver(dag, initial_upper_bound, time_limit_ms=time_limit_ms, trace=trace)
+    return solver.run()

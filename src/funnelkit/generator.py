@@ -170,6 +170,19 @@ def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
     return Dag(n, list(dag.arcs) + _sample_pairs(rng, s, free, pool, draw))
 
 
+def planted_instance(params: GenParams) -> tuple[Dag, Optional[Labeling]]:
+    """The instance of ``params``: its planted funnel plus ``s`` noise arcs.
+
+    The one recipe behind bench rows and ``funnelkit generate``: the noise is
+    seeded with ``derive_seed(seed, 1)``.  The planted labeling comes back
+    only when there is no noise, since noise may leave it invalid.
+    """
+    funnel, labeling = generate_planted_funnel(params)
+    if not params.s:
+        return funnel, labeling
+    return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1)), None
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     """Strict 3-CNF: every clause has three literals over distinct variables.

@@ -239,12 +239,15 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
     Only syntax is validated here; duplicates, self-loops and cycles pass
     through untouched (the condensation entry point wants them).  The header,
     when present, must agree with the ids and arc count that follow, and the
-    vertex count may not exceed :data:`MAX_VERTICES`.
+    vertex count may not exceed :data:`MAX_VERTICES`.  Bytes must be UTF-8.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"invalid UTF-8 at byte {exc.start}") from None
     arcs: list[Arc] = []
     declared: Optional[tuple[int, int]] = None
     limit = MAX_VERTICES  # ids stay below this, or below the declared count

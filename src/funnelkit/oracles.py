@@ -69,6 +69,36 @@ def brute_force_addf(dag: Dag, max_arcs: int = 24) -> ExactResult:
     raise AssertionError("deleting every arc always yields a funnel")
 
 
+def labeling_enumeration_addf(dag: Dag, max_vertices: int = 14) -> int:
+    """The distance as the cheapest of all 2^n total labelings.
+
+    A labeling keeps every Fork-to-Merge arc, one in-arc of each Fork with a
+    Fork in-neighbor and one out-arc of each Merge with a Merge out-neighbor,
+    and deletes the rest, so its cost is m minus those three counts.  Every
+    funnel has a labeling, so the cheapest one is optimal.  Reaches sizes
+    where arc subsets cannot; raises :class:`TooLarge` beyond the cap.
+    """
+    n = dag.vertex_count
+    if n > max_vertices:
+        raise TooLarge(f"{n} vertices exceed the {max_vertices}-vertex cap")
+    everyone = (1 << n) - 1
+    ins, outs = [0] * n, [0] * n
+    for u, v in dag.arcs:
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+    best = dag.arc_count
+    for forks in range(1 << n):  # bit v set: v is a Fork
+        merges = everyone & ~forks
+        kept = 0
+        for v in range(n):
+            if forks >> v & 1:
+                kept += (outs[v] & merges).bit_count() + bool(ins[v] & forks)
+            else:
+                kept += bool(outs[v] & merges)
+        best = min(best, dag.arc_count - kept)
+    return best
+
+
 def sat_oracle(formula: CnfFormula, max_vars: int = 20) -> bool:
     """Exhaustive satisfiability check for small formulas."""
     if formula.num_vars > max_vars:

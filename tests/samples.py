@@ -49,6 +49,34 @@ TIGHT_12 = Dag(
     ],
 )
 
+# 8 vertices, distance 3, packing bound 1: disjoint copies leave a root gap
+# of two arcs per copy, so a search over them runs deep.
+G8 = Dag(
+    8,
+    [
+        (0, 1), (0, 3), (0, 7), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4),
+        (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (5, 6), (6, 7),
+    ],
+)
+
+# ROADMAP item 1: distance 3 (delete 4->0, 7->3, 7->5), while the set-label
+# rule's degree-counting case leads the solver to 4.
+SET_LABEL_9 = Dag(
+    9,
+    [
+        (2, 4), (2, 7), (2, 8), (1, 4), (1, 0), (1, 7), (1, 5), (4, 0), (4, 7),
+        (0, 6), (6, 7), (6, 5), (6, 3), (7, 8), (7, 5), (7, 3), (8, 5), (5, 3),
+    ],
+)
+
+
+def disjoint_copies(dag: Dag, count: int) -> Dag:
+    """``count`` copies of ``dag`` side by side, copy i on ids shifted by i*n."""
+    n = dag.vertex_count
+    return Dag(
+        n * count, [(u + n * i, v + n * i) for i in range(count) for u, v in dag.arcs]
+    )
+
 
 def random_dag(rng: SplitMix64, n: int, arc_chance_pct: int) -> Dag:
     """Random DAG on ``n`` vertices; each forward pair (u, v), u < v, is an

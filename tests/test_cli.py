@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from funnelkit import SplitMix64, emit_edge_list
+import funnelkit.bench
+from funnelkit import GridSpec, SplitMix64, emit_edge_list, parse_edge_list
 from funnelkit.cli import main
-from samples import D0, DIAMOND, FUNNEL_8, NEAR_FUNNEL_8
+from samples import D0, DIAMOND, FUNNEL_8, G8, NEAR_FUNNEL_8, disjoint_copies
 
 
 @pytest.fixture
@@ -195,7 +196,7 @@ def test_generate_planted_writes_three_files(tmp_path, capsys):
     prefix = str(tmp_path / "inst")
     assert main(["generate", "--n", "12", "--p", "0.5", "--seed", "6", "--out", prefix]) == 0
     meta = json.loads((tmp_path / "inst.json").read_text())
-    assert meta["schema"] == "funnelkit-gen/1"
+    assert meta["schema"] == "funnelkit-gen/2"
     assert meta["kind"] == "planted"
     assert meta["seed"] == 6
     assert meta["tool"].startswith("funnelkit ")
@@ -222,6 +223,24 @@ def test_generate_reruns_are_byte_identical(tmp_path):
         )
     assert (tmp_path / "a.edges").read_bytes() == (tmp_path / "b.edges").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_generate_writes_the_instance_of_the_bench_row(tmp_path, monkeypatch):
+    # Row n200-p0.5-s25-r0 of the default grid, as the bench analyzes it.
+    name, params = next(
+        (name, params)
+        for name, params in GridSpec().instances()
+        if name == "n200-p0.5-s25-r0"
+    )
+    analyzed = []
+    monkeypatch.setattr(
+        funnelkit.bench, "analyze", lambda dag, *args, **kwargs: analyzed.append(dag)
+    )
+    funnelkit.bench._bench_task((name, params, 0.0))
+    prefix = str(tmp_path / "row")
+    argv = ["--n", "200", "--p", "0.5", "--s", "25", "--seed", str(params.seed)]
+    assert main(["generate", *argv, "--out", prefix]) == 0
+    assert parse_edge_list((tmp_path / "row.edges").read_text()) == analyzed[0]
 
 
 def test_generate_cnf(tmp_path, capsys):
@@ -331,6 +350,28 @@ def test_bench_non_numeric_grid_value(tmp_path, capsys, text, key):
     assert f"'{key}'" in _bench_error(["--grid", str(grid)], capsys)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1.5}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"seed": "1"}', "seed"),
+        ('{"replicates": -1}', "replicates"),
+        ('{"replicates": 0}', "replicates"),
+        ('{"replicates": "2"}', "replicates"),
+        ('{"replicates": 2.0}', "replicates"),
+        ('{"ns": []}', "ns"),
+        ('{"ns": 5}', "ns"),
+        ('{"ps": []}', "ps"),
+        ('{"ss": {"a": 1}}', "ss"),
+    ],
+)
+def test_bench_grid_shape_is_validated(tmp_path, capsys, text, key):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    assert f"'{key}'" in _bench_error(["--grid", str(grid)], capsys)
+
+
 def test_bench_integer_density_keeps_its_row_names(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text('{"ns": [8], "ps": [1], "ss": [1], "replicates": 1}')
@@ -363,6 +404,18 @@ def test_grid_time_limit_must_be_finite_and_non_negative(tmp_path, capsys, value
     grid = tmp_path / "grid.json"
     grid.write_text('{"ns": [8], "replicates": 1, "time_limit_ms": %s}' % value)
     assert "time limit" in _bench_error(["--grid", str(grid)], capsys)
+
+
+def test_exact_distance_on_a_deep_search_meets_its_time_limit(tmp_path, capsys):
+    # 1,000 copies of G8 leave a root gap of 2,000 arcs, so the search keeps
+    # going deeper until the deadline stops it.
+    path = tmp_path / "g8x1000.edges"
+    path.write_text(emit_edge_list(disjoint_copies(G8, 1000)))
+    argv = ["distance", "--mode", "exact", "--time-limit-ms", "3000", str(path)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 8000 and report["timed_out"]
+    assert report["exact_size"] <= 3000
 
 
 def test_zero_time_limit_is_accepted(d0_file, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from collections import deque
 
 import pytest
@@ -17,11 +18,24 @@ from funnelkit import (
     extremal_funnel,
     generate_planted_funnel,
     is_funnel_degree,
+    labeling_enumeration_addf,
     lower_bound,
     solve_addf,
     verify_funnel_labeling,
 )
-from samples import D0, D1, DIAMOND, PATH3, TIGHT_12, obstruction, random_dag
+from funnelkit.exact import _pack
+from samples import (
+    D0,
+    D1,
+    DIAMOND,
+    G8,
+    PATH3,
+    SET_LABEL_9,
+    TIGHT_12,
+    disjoint_copies,
+    obstruction,
+    random_dag,
+)
 
 
 def check_result(dag, result):
@@ -155,11 +169,13 @@ def test_solver_bound_on_random_live_masks():
     for _ in range(150):
         dag = random_dag(rng, 3 + rng.below(6), 30 + rng.below(40))
         dead = [a for a in range(dag.arc_count) if rng.below(100) < 30]
-        solver = Solver(dag, seed_with_approx=False)
+        alive = bytearray(b"\x01") * dag.arc_count
         for a in dead:
-            solver._delete_arc(a)
+            alive[a] = 0
         rest = delete_arcs(dag, [dag.arcs[a] for a in dead])
-        bound = solver._lower_bound_live()
+        live_in = [rest.in_degree(v) for v in dag.vertices()]
+        live_out = [rest.out_degree(v) for v in dag.vertices()]
+        bound = _pack(dag, alive, live_in, live_out)
         assert bound == lower_bound(rest)
         assert bound == reference_bound(dag, set(rest.arcs))
         assert bound <= brute_force_addf(rest).distance
@@ -211,22 +227,31 @@ def test_exact_on_disjoint_unions_adds_up():
         )
 
 
-def test_golden_trace_smallest_obstruction():
+def test_golden_trace_of_a_seeded_search():
+    # The approximation's 2 is the incumbent; the Fork child is pruned on
+    # its bound and the Merge child reaches the optimum 1.
+    dag = Dag(
+        7,
+        [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6),
+         (4, 6), (5, 6)],
+    )
     trace = []
-    result = Solver(D0, seed_with_approx=False, trace=trace.append).run()
+    result = Solver(dag, trace=trace.append).run()
     assert result.distance == 1
     assert trace == [
         "rr1 0 F",
         "rr1 1 F",
-        "rr1 3 M",
+        "rr1 6 M",
         "rr1 4 M",
+        "rr1 5 M",
         "br1 2 F",
         "rr2 1->2",
+        "prune 1+1",
+        "br1 2 M",
+        "rr2 2->3",
+        "rr1 3 F",
         "leaf 1",
         "best 1",
-        "br1 2 M",
-        "rr2 2->4",
-        "prune 1",
     ]
 
 
@@ -242,23 +267,39 @@ def _shuffled_random_dag(rng, n, arc_chance_pct):
 
 
 def test_golden_traces_on_shuffled_random_dags():
-    # Every trace line of 200 searches, seeded and unseeded, hashed; the
-    # value was taken from a solver that also had an arc-branching rule, so
-    # label branching alone must make the same moves.
+    # Every trace line of 200 seeded searches, hashed; the value was taken
+    # from the recursive solver, so the explicit stack must make the same
+    # moves in the same order.
     rng = SplitMix64(505)
     digest = hashlib.sha256()
     for _ in range(200):
         dag = _shuffled_random_dag(rng, 3 + rng.below(10), 40)
-        for solve in (
-            lambda trace: solve_addf(dag, trace=trace),
-            lambda trace: Solver(dag, seed_with_approx=False, trace=trace).run(),
-        ):
-            lines = []
-            solve(lines.append)
-            digest.update(("\n".join(lines) + "\n--\n").encode())
+        lines = []
+        solve_addf(dag, trace=lines.append)
+        digest.update(("\n".join(lines) + "\n--\n").encode())
     assert digest.hexdigest() == (
-        "824efeb1cdac8d0ec20aee11076263fb4f2323bcf4cb20bc4741e2f0bd34a3b8"
+        "172922240fa8c6130e1776f6a25a2d087496a763526e1dbad73eae1aff371fb8"
     )
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_search_stack_depth_does_not_grow_with_search_depth():
+    # On 100 copies of G8 the root gap is 200 arcs, so the first 100
+    # branches go ever deeper; the Python stack must not follow them.
+    depths = []
+
+    def hook(line):
+        if line.startswith("br1"):
+            depths.append(len(inspect.stack(0)))
+            if len(depths) == 100:
+                raise _Stop
+
+    with pytest.raises(_Stop):
+        Solver(disjoint_copies(G8, 100), trace=hook).run()
+    assert max(depths) - min(depths) <= 3
 
 
 def _desk_row(n, p, s, rep):
@@ -334,6 +375,34 @@ def test_nested_obstructions():
     fast = solve_addf(dag)
     assert fast.distance == brute_force_addf(dag).distance == 2
     check_result(dag, fast)
+
+
+# ---- oracles ----
+
+
+def test_labeling_enumeration_matches_brute_force_on_random_dags():
+    rng = SplitMix64(31)
+    for _ in range(120):
+        dag = random_dag(rng, 2 + rng.below(7), 45)
+        assert labeling_enumeration_addf(dag) == brute_force_addf(dag).distance
+
+
+def test_labeling_enumeration_matches_the_solver_on_shuffled_dags():
+    rng = SplitMix64(606)
+    for _ in range(300):
+        dag = _shuffled_random_dag(rng, 3 + rng.below(9), 20 + rng.below(50))
+        assert labeling_enumeration_addf(dag) == solve_addf(dag).distance
+
+
+def test_oracles_agree_where_the_set_label_rule_fails():
+    assert labeling_enumeration_addf(SET_LABEL_9) == 3
+    assert brute_force_addf(SET_LABEL_9).distance == 3
+
+
+def test_labeling_enumeration_caps_size():
+    with pytest.raises(TooLarge):
+        labeling_enumeration_addf(Dag(15))
+    assert labeling_enumeration_addf(Dag(0)) == 0
 
 
 # ---- brute force ----

@@ -8,6 +8,7 @@ from funnelkit import (
     CycleDetected,
     Dag,
     DuplicateArc,
+    GraphError,
     Labeling,
     MalformedLine,
     SelfLoop,
@@ -122,6 +123,12 @@ def test_read_arc_list_header_and_isolated_vertices():
 def test_read_arc_list_accepts_bytes_and_streams():
     assert read_arc_list(b"0 1\n") == (2, [(0, 1)])
     assert read_arc_list(io.StringIO("0 1\n")) == (2, [(0, 1)])
+
+
+def test_read_arc_list_names_the_first_byte_that_is_not_utf8():
+    for source in (b"0 1\n\xff\n", io.BytesIO(b"0 1\n\xff\n")):
+        with pytest.raises(GraphError, match="invalid UTF-8 at byte 4"):
+            read_arc_list(source)
 
 
 def test_read_arc_list_errors_carry_line_numbers():
