@@ -5,8 +5,9 @@ no other source-sink path uses.  Equivalently: no vertex with indegree > 1
 reaches a vertex with outdegree > 1 (reaching includes the vertex itself).
 Equivalently again: the vertices split into a Fork part inducing an
 out-forest and a Merge part inducing an in-forest, with no Merge-to-Fork arc.
-The functions below implement the degree test, the path-count test, the
-certificate search and the canonical labeling; they all agree.
+The degree test, the certificate search and the canonical labeling share one
+merge-fork scan (the first tainted vertex with two out-arcs, in topological
+order); the path-count test is an independent recognizer.  They all agree.
 
 :func:`doomed_arcs` is the one keep rule that the labeling check, the
 approximation's deletion set and the exact solver share.  A Fork with a Fork
@@ -20,9 +21,7 @@ comes from a Fork dooms nothing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 from .graph import ArcSet, Dag
@@ -44,17 +43,23 @@ def _tainted(dag: Dag) -> list[bool]:
     return tainted
 
 
+def _merge_fork(dag: Dag, tainted: Sequence[bool]) -> Optional[int]:
+    """The first vertex in topological order that is tainted and has two
+    out-arcs, or ``None`` when there is none, i.e. when the DAG is a funnel."""
+    out_off = dag.out_off
+    return next(
+        (v for v in dag.topo_order if tainted[v] and out_off[v + 1] - out_off[v] > 1),
+        None,
+    )
+
+
 def is_funnel_degree(dag: Dag) -> bool:
     """Degree characterization: no tainted vertex may have outdegree > 1.
 
     A single vertex carrying both indegree > 1 and outdegree > 1 already
     violates the condition.  Linear time.
     """
-    out_off = dag.out_off
-    return not any(
-        t and hi - lo > 1
-        for t, lo, hi in zip(_tainted(dag), out_off, islice(out_off, 1, None))
-    )
+    return _merge_fork(dag, _tainted(dag)) is None
 
 
 @dataclass(frozen=True)
@@ -139,39 +144,19 @@ class ForbiddenWitness:
 def find_forbidden_witness(dag: Dag) -> ForbiddenWitness | None:
     """Return an obstruction subgraph, or ``None`` when the DAG is a funnel.
 
-    Picks the first (in topological order) tainted vertex with two out-arcs
-    and walks back to the nearest ancestor with two in-arcs, so the witness
-    path is as short as a breadth-first search can make it.
+    Starts from the merge-fork vertex and walks back to the nearest ancestor
+    with two in-arcs.  A tainted vertex with fewer than two in-arcs has exactly
+    one, and its tail is tainted too, so the walk never has a choice to make
+    and must reach such an ancestor: its path is the only, hence the
+    shortest, one.
     """
-    tainted = _tainted(dag)
-    vk = None
-    for v in dag.topo_order:
-        if tainted[v] and dag.out_degree(v) > 1:
-            vk = v
-            break
+    vk = _merge_fork(dag, _tainted(dag))
     if vk is None:
         return None
-    if dag.in_degree(vk) >= 2:
-        path = (vk,)
-    else:
-        parent: dict[int, int] = {}
-        queue: deque[int] = deque([vk])
-        v0 = None
-        while queue and v0 is None:
-            x = queue.popleft()
-            for u in dag.in_neighbors(x):
-                if u in parent:
-                    continue
-                parent[u] = x
-                if dag.in_degree(u) >= 2:
-                    v0 = u
-                    break
-                queue.append(u)
-        assert v0 is not None, "tainted fork must have a merge ancestor"
-        hops = [v0]
-        while hops[-1] != vk:
-            hops.append(parent[hops[-1]])
-        path = tuple(hops)
+    hops = [vk]
+    while dag.in_degree(hops[-1]) < 2:
+        hops.append(dag.in_neighbors(hops[-1])[0])
+    path = tuple(reversed(hops))
     u1, u2 = dag.in_neighbors(path[0])[:2]
     w1, w2 = dag.out_neighbors(path[-1])[:2]
     return ForbiddenWitness(u1, u2, path, w1, w2)
@@ -181,17 +166,14 @@ def funnel_labeling(dag: Dag) -> Labeling:
     """Canonical Fork/Merge labeling of a funnel.
 
     Merge exactly for the tainted vertices (indegree > 1 at the vertex or at
-    some ancestor); everything else is Fork.  Raises :class:`NotAFunnel` on
-    non-funnels.
+    some ancestor); everything else is Fork.  Raises :class:`NotAFunnel`,
+    naming the merge-fork vertex, on non-funnels.
     """
     tainted = _tainted(dag)
-    labels = Labeling(
-        [Label.MERGE if tainted[v] else Label.FORK for v in dag.vertices()]
-    )
-    for v in dag.vertices():
-        if tainted[v] and dag.out_degree(v) > 1:
-            raise NotAFunnel(f"vertex {v} merges and forks")
-    return labels
+    v = _merge_fork(dag, tainted)
+    if v is not None:
+        raise NotAFunnel(f"vertex {v} merges and forks")
+    return Labeling([Label.MERGE if t else Label.FORK for t in tainted])
 
 
 def doomed_arcs(

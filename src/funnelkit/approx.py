@@ -58,8 +58,10 @@ def greedy_relabel(
     A flip is judged by the exact change in deletion status over the arcs
     incident to the flipped vertex, holding all neighbor labels fixed; that
     is the only part of the deletion set a flip can change, so the set size
-    never grows.  One pass in topological order by default; ``fixpoint``
-    repeats passes until no flip helps.
+    never grows.  With the neighbors fixed, if a Fork-to-Merge flip changes
+    the size by g then flipping back changes it by -g, so one delta serves
+    both directions.  One pass in topological order by default;
+    ``fixpoint`` repeats passes until no flip helps.
     """
     labeling.require_total()
     fork, merge = Label.FORK, Label.MERGE
@@ -80,44 +82,28 @@ def greedy_relabel(
         for v in dag.topo_order:
             outs = heads[out_off[v] : out_off[v + 1]]
             ins = in_tails[in_off[v] : in_off[v + 1]]
-            # Exact change of the deletion-set size if v alone flips, counted
-            # over the arcs at v with all neighbor labels fixed: first v's own
-            # side costs (a Fork's in-arcs but one from a Fork parent, a
-            # Merge's out-arcs but one to a Merge child), then the
-            # Merge->Fork arcs at v that go or come, each offset when v
-            # becomes a neighbor's first same-label partner or stops being
-            # its only one.
-            side = (len(outs) - (merge_out[v] > 0)) - (len(ins) - (fork_in[v] > 0))
-            if labels[v] is fork:  # Fork -> Merge
-                delta = side
-                for u in ins:
-                    if labels[u] is merge and merge_out[u]:
-                        delta += 1  # u->v goes; v is not u's first Merge child
+            is_fork = labels[v] is fork
+            is_merge = not is_fork
+            # The size change if v goes from Fork to Merge, over the arcs at
+            # v: first v's own side costs (a Fork's in-arcs but one from a
+            # Fork parent, a Merge's out-arcs but one to a Merge child), then
+            # +1 per Merge parent with a Merge child besides v and -1 per
+            # Fork child with a Fork parent besides v.
+            delta = (len(outs) - (merge_out[v] > 0)) - (len(ins) - (fork_in[v] > 0))
+            for u in ins:
+                if labels[u] is merge and merge_out[u] > is_merge:
+                    delta += 1
+            for w in outs:
+                if labels[w] is fork and fork_in[w] > is_fork:
+                    delta -= 1
+            step = 1 if is_fork else -1  # the flip changes the size by delta * step
+            if delta * step < 0:
+                labels[v] = merge if is_fork else fork
                 for w in outs:
-                    if labels[w] is fork and fork_in[w] != 1:
-                        delta -= 1  # v->w comes; v was not w's only Fork parent
-                if delta < 0:
-                    labels[v] = merge
-                    for w in outs:
-                        fork_in[w] -= 1
-                    for u in ins:
-                        merge_out[u] += 1
-                    flipped = True
-            else:  # Merge -> Fork
-                delta = -side
-                for w in outs:
-                    if labels[w] is fork and fork_in[w]:
-                        delta += 1  # v->w goes; v is not w's first Fork parent
+                    fork_in[w] -= step
                 for u in ins:
-                    if labels[u] is merge and merge_out[u] != 1:
-                        delta -= 1  # u->v comes; v was not u's only Merge child
-                if delta < 0:
-                    labels[v] = fork
-                    for w in outs:
-                        fork_in[w] += 1
-                    for u in ins:
-                        merge_out[u] -= 1
-                    flipped = True
+                    merge_out[u] += step
+                flipped = True
         if not (fixpoint and flipped):
             break
     result = Labeling(labels)

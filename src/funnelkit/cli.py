@@ -22,11 +22,7 @@ import sys
 from typing import IO, Sequence
 
 from . import __version__
-from .analysis import (
-    find_forbidden_witness,
-    funnel_labeling,
-    is_funnel_degree,
-)
+from .analysis import find_forbidden_witness, funnel_labeling
 from .bench import GridSpec, analyze, parse_time_limit, run_grid, summarize, write_csv
 from .generator import (
     GenParams,
@@ -89,15 +85,14 @@ def _load_dag(path: str, condense: bool) -> Dag:
 
 def cmd_check(args: argparse.Namespace, out: IO[str]) -> int:
     dag = _load_dag(args.path, args.condense)
-    if is_funnel_degree(dag):
+    witness = find_forbidden_witness(dag)
+    if witness is None:
         print("funnel", file=out)
         text = funnel_labeling(dag).to_text()
         if text:
             print(text, file=out)
         return EXIT_OK
     print("not a funnel", file=out)
-    witness = find_forbidden_witness(dag)
-    assert witness is not None
     parts = [f"{u}->{v}" for u, v in sorted(witness.arcs())]
     print("witness: " + " ".join(parts), file=out)
     return EXIT_NOT_FUNNEL

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Arc, Dag
+from .graph import MAX_VERTICES, Arc, Dag
 from .labeling import Label, Labeling
 
 _MASK64 = (1 << 64) - 1
@@ -98,8 +98,8 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must lie in 1..{MAX_VERTICES}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("density must lie in [0, 1]")
         if self.s < 0:
@@ -196,6 +196,9 @@ class CnfFormula:
     def __post_init__(self):
         if self.num_vars < 0:
             raise InvalidFormula("negative variable count")
+        # Checked here, before reduce_3sat allocates its gadget.
+        if 6 * self.num_vars + 5 * len(self.clauses) > MAX_VERTICES:
+            raise InvalidFormula(f"gadget would exceed {MAX_VERTICES} vertices")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise InvalidFormula(f"clause {clause} must have three literals")

@@ -43,12 +43,15 @@ class Labeling:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {line_no}: expected '<vertex> <F|M>'")
-            vertex = int(parts[0])
+            try:
+                vertex, label = int(parts[0]), Label(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             if not 0 <= vertex < vertex_count:
                 raise ValueError(f"line {line_no}: vertex {vertex} out of range")
             if lab[vertex] is not None:
                 raise ValueError(f"line {line_no}: vertex {vertex} assigned twice")
-            lab[vertex] = Label(parts[1])
+            lab[vertex] = label
         return lab
 
     def to_text(self) -> str:

@@ -10,6 +10,7 @@ to the terminal summary (see conftest).
 The expensive corpora are built once and shared by the later criteria.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -43,6 +44,8 @@ from funnelkit import (
 )
 
 _cache: dict[str, object] = {}
+
+DESK_CSV_SHA256 = "e7543c0db8a49f61a68ef4b09aca006dc493cca403fba3767af7861d25e00314"
 
 
 def all_dags_up_to(max_n: int) -> list[Dag]:
@@ -340,6 +343,9 @@ def test_criterion_8_desk_grid_and_linear_time():
     mean_ratio = sum(ratios) / len(ratios)
     eq1_pct = 100.0 * sum(1 for r in ratios if r == 1.0) / len(ratios)
     grid_elapsed = time.perf_counter() - start
+    # The desk CSV of grid seed 1, byte for byte.
+    csv_sha = hashlib.sha256(write_csv(reports).encode()).hexdigest()
+    assert csv_sha == DESK_CSV_SHA256
 
     # linear-time sanity: a hundred-thousand-vertex instance in < 2 s
     funnel, _ = generate_planted_funnel(

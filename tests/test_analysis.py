@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from funnelkit import (
@@ -17,7 +19,7 @@ from funnelkit import (
     path_counts,
     verify_funnel_labeling,
 )
-from funnelkit.analysis import doomed_arcs
+from funnelkit.analysis import ForbiddenWitness, _tainted, doomed_arcs
 from samples import D0, D1, DIAMOND, FUNNEL_8, NEAR_FUNNEL_8, PATH3, random_dag
 
 FUNNELS = [
@@ -100,6 +102,73 @@ def test_witness_single_center_vertex():
     dag = Dag(5, [(0, 4), (1, 4), (4, 2), (4, 3)])
     w = find_forbidden_witness(dag)
     assert w.path == (4,)
+
+
+def test_witness_walks_back_along_a_long_path():
+    # ids out of topological order; the path has four vertices
+    dag = Dag(8, [(5, 0), (6, 0), (0, 3), (3, 7), (7, 1), (1, 2), (1, 4)])
+    assert find_forbidden_witness(dag) == ForbiddenWitness(5, 6, (0, 3, 7, 1), 2, 4)
+
+
+def _reference_witness(dag):
+    """find_forbidden_witness as it was written with a breadth-first search."""
+    tainted = _tainted(dag)
+    vk = None
+    for v in dag.topo_order:
+        if tainted[v] and dag.out_degree(v) > 1:
+            vk = v
+            break
+    if vk is None:
+        return None
+    if dag.in_degree(vk) >= 2:
+        path = (vk,)
+    else:
+        parent = {}
+        queue = deque([vk])
+        v0 = None
+        while queue and v0 is None:
+            x = queue.popleft()
+            for u in dag.in_neighbors(x):
+                if u in parent:
+                    continue
+                parent[u] = x
+                if dag.in_degree(u) >= 2:
+                    v0 = u
+                    break
+                queue.append(u)
+        assert v0 is not None, "tainted fork must have a merge ancestor"
+        hops = [v0]
+        while hops[-1] != vk:
+            hops.append(parent[hops[-1]])
+        path = tuple(hops)
+    u1, u2 = dag.in_neighbors(path[0])[:2]
+    w1, w2 = dag.out_neighbors(path[-1])[:2]
+    return ForbiddenWitness(u1, u2, path, w1, w2)
+
+
+def _sparse_shuffled_dag(rng, n):
+    """Mostly chains: each vertex after the first gets one or two in-arcs from
+    its two predecessors, then the ids are shuffled out of topological order."""
+    arcs = set()
+    for v in range(1, n):
+        for _ in range(1 + (rng.below(5) == 0)):
+            arcs.add((v - 1 - rng.below(min(v, 2)), v))
+    ids = list(range(n))
+    for i in range(n - 1, 0, -1):  # Fisher-Yates
+        j = rng.below(i + 1)
+        ids[i], ids[j] = ids[j], ids[i]
+    return Dag(n, [(ids[u], ids[v]) for u, v in sorted(arcs)])
+
+
+def test_witness_walk_matches_the_breadth_first_reference():
+    rng = SplitMix64(305)
+    long_paths = 0
+    for _ in range(600):
+        dag = _sparse_shuffled_dag(rng, 4 + rng.below(27))
+        w = find_forbidden_witness(dag)
+        assert w == _reference_witness(dag)
+        long_paths += w is not None and len(w.path) >= 3
+    assert long_paths >= 20
 
 
 def test_witness_arcs_always_present_and_break_the_graph():

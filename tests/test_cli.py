@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -273,6 +274,27 @@ def test_generate_cnf_non_integer_literal(tmp_path, capsys):
     assert "non-integer" in err
 
 
+def _assert_input_error(argv, capsys, tmp_path, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert [p.name for p in tmp_path.iterdir() if p.suffix != ".cnf"] == []
+
+
+def test_generate_rejects_too_many_vertices(tmp_path, capsys):
+    # Rejected before the generator allocates; never run at this size.
+    argv = ["generate", "--n", "10000001", "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "vertex count")
+
+
+def test_generate_rejects_a_too_large_cnf_gadget(tmp_path, capsys):
+    cnf = tmp_path / "big.cnf"
+    cnf.write_text("p cnf 1666667 0\n")  # 10,000,002 gadget vertices
+    argv = ["generate", "--cnf", str(cnf), "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "exceed")
+
+
 def test_generate_needs_some_source(capsys):
     assert main(["generate", "--out", "/tmp/never"]) == 2
     assert "--n or --cnf" in capsys.readouterr().err
@@ -372,6 +394,24 @@ def test_bench_grid_shape_is_validated(tmp_path, capsys, text, key):
     assert f"'{key}'" in _bench_error(["--grid", str(grid)], capsys)
 
 
+def test_bench_rejects_too_many_vertices(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [10000001], "replicates": 1}')
+    out = tmp_path / "report.csv"
+    assert "vertex count" in _bench_error(["--grid", str(grid), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_bench_time_limit_overrides_the_grid_file(tmp_path, capsys):
+    # Row r1 needs a search below the root, which a zero limit cuts off.
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [20], "ps": [0.4], "ss": [6], "replicates": 3, "seed": 3}')
+    assert main(["bench", "--grid", str(grid)]) == 0
+    assert "instances=3 solved=3" in capsys.readouterr().out
+    assert main(["bench", "--grid", str(grid), "--time-limit-ms", "0"]) == 0
+    assert "instances=3 solved=2" in capsys.readouterr().out
+
+
 def test_bench_integer_density_keeps_its_row_names(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text('{"ns": [8], "ps": [1], "ss": [1], "replicates": 1}')
@@ -446,3 +486,14 @@ def test_stdin_input(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_check_and_distance_read_stdin(monkeypatch, capsys):
+    text = emit_edge_list(D0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 1
+    assert "witness: 0->2 1->2 2->3 2->4" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["distance", "--mode", "approx", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["instance"] == "-" and report["approx_size"] == 1

@@ -25,6 +25,7 @@ from funnelkit import (
     solve_addf,
     verify_funnel_labeling,
 )
+from funnelkit.graph import MAX_VERTICES
 
 # ---- the RNG ----
 
@@ -139,6 +140,10 @@ def test_gen_params_validation():
         GenParams(n=5, p=1.5, s=0, seed=1)
     with pytest.raises(ValueError):
         GenParams(n=5, p=0.5, s=-1, seed=1)
+    # Checked before anything is allocated; never generate at this size.
+    GenParams(n=MAX_VERTICES, p=0.5, s=0, seed=1)
+    with pytest.raises(ValueError, match="vertex count"):
+        GenParams(n=MAX_VERTICES + 1, p=0.5, s=0, seed=1)
 
 
 # ---- noise arcs ----
@@ -269,6 +274,13 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 1\n1 1 2 0\n")  # repeated variable
     with pytest.raises(InvalidFormula):
         parse_dimacs("p cnf 3 1\n1 2 0\n")  # not three literals
+    # The gadget has 6 vertices per variable and 5 per clause, bounded
+    # before reduce_3sat allocates; these formulas are never reduced.
+    assert parse_dimacs("p cnf 1666666 0\n").num_vars == 1666666
+    with pytest.raises(InvalidFormula, match="exceed"):
+        parse_dimacs("p cnf 1666667 0\n")
+    with pytest.raises(InvalidFormula, match="exceed"):
+        parse_dimacs("p cnf 1666666 1\n1 2 3 0\n")
 
 
 def test_reduction_shape():

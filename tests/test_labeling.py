@@ -55,6 +55,12 @@ def test_from_text_rejects_garbage():
         Labeling.from_text("0 F\n0 M", 2)
 
 
+@pytest.mark.parametrize("text", ["0 F\nx M", "0 F\n1 X"])
+def test_from_text_names_the_line_of_a_bad_token(text):
+    with pytest.raises(ValueError, match="^line 2: "):
+        Labeling.from_text(text, 3)
+
+
 def test_copy_is_independent():
     lab = Labeling.unassigned(2)
     lab[0] = Label.FORK
