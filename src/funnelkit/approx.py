@@ -37,6 +37,43 @@ def assign_labels_greedy(dag: Dag) -> Labeling:
     return Labeling(labels)
 
 
+def _neighbor_counts(dag: Dag, labels: list[Label]) -> tuple[list[int], list[int]]:
+    """fork_in[v]: Fork-labeled in-neighbors; merge_out[v]: Merge-labeled out-neighbors."""
+    fork, merge = Label.FORK, Label.MERGE
+    fork_in = [0] * dag.vertex_count
+    merge_out = [0] * dag.vertex_count
+    for u, w in zip(dag.tails, dag.heads):
+        if labels[u] is fork:
+            fork_in[w] += 1
+        if labels[w] is merge:
+            merge_out[u] += 1
+    return fork_in, merge_out
+
+
+def _deletion_set(
+    dag: Dag, labels: list[Label], fork_in: list[int], merge_out: list[int]
+) -> ArcSet:
+    """The doomed arcs of a total labeling, given its neighbor counts.
+
+    Under a total labeling a vertex dooms its side cost: a Fork its in-arcs
+    but one from a Fork parent, a Merge its out-arcs but one to a Merge
+    child.  Only vertices whose side cost is positive ask the keep rule
+    which arcs those are.
+    """
+    fork, tails, heads = Label.FORK, dag.tails, dag.heads
+    in_off, out_off = dag.in_off, dag.out_off
+    alive = bytearray(b"\x01") * dag.arc_count
+    doomed: list[int] = []
+    for v in range(dag.vertex_count):
+        if labels[v] is fork:
+            cost = in_off[v + 1] - in_off[v] - (fork_in[v] > 0)
+        else:
+            cost = out_off[v + 1] - out_off[v] - (merge_out[v] > 0)
+        if cost:
+            doomed += doomed_arcs(dag, v, labels, alive)
+    return frozenset([(tails[a], heads[a]) for a in doomed])
+
+
 def arc_deletion_set(dag: Dag, labeling: Labeling) -> ArcSet:
     """Arcs that must go so ``labeling`` becomes a funnel labeling of the rest.
 
@@ -44,10 +81,8 @@ def arc_deletion_set(dag: Dag, labeling: Labeling) -> ArcSet:
     labeling; deleting them always leaves a funnel.
     """
     labeling.require_total()
-    labels, alive = list(labeling), bytearray(b"\x01") * dag.arc_count
-    return frozenset(
-        dag.arcs[a] for v in dag.vertices() for a in doomed_arcs(dag, v, labels, alive)
-    )
+    labels = list(labeling)
+    return _deletion_set(dag, labels, *_neighbor_counts(dag, labels))
 
 
 def greedy_relabel(
@@ -67,15 +102,7 @@ def greedy_relabel(
     fork, merge = Label.FORK, Label.MERGE
     labels = list(labeling)
     heads, out_off, in_tails, in_off = dag.heads, dag.out_off, dag.in_tails, dag.in_off
-    n = dag.vertex_count
-    # fork_in[v]: Fork-labeled in-neighbors; merge_out[v]: Merge-labeled out-neighbors.
-    fork_in = [0] * n
-    merge_out = [0] * n
-    for u, w in dag.arcs:
-        if labels[u] is fork:
-            fork_in[w] += 1
-        if labels[w] is merge:
-            merge_out[u] += 1
+    fork_in, merge_out = _neighbor_counts(dag, labels)
 
     while True:
         flipped = False
@@ -106,8 +133,7 @@ def greedy_relabel(
                 flipped = True
         if not (fixpoint and flipped):
             break
-    result = Labeling(labels)
-    return result, arc_deletion_set(dag, result)
+    return Labeling(labels), _deletion_set(dag, labels, fork_in, merge_out)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ Four subcommands:
 * ``bench``     run a generated grid and emit a CSV report
 
 Exit codes: 0 on success (for ``check``: the input is a funnel), 1 when
-``check`` rejects the input, 2 on malformed input or bad arguments.
+``check`` rejects the input, 2 on malformed input or bad arguments, and
+141 when stdout closes before the output is written; that exit is quiet.
 All output is deterministic for fixed inputs and seeds; wall-clock
 timings only appear behind ``--times``.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import IO, Sequence
 
@@ -37,6 +39,7 @@ from .graph import (
     GraphError,
     condense_scc,
     emit_edge_list,
+    parse_edge_list,
     read_arc_list,
 )
 from .labeling import Labeling
@@ -46,6 +49,7 @@ GEN_SCHEMA = "funnelkit-gen/2"
 EXIT_OK = 0
 EXIT_NOT_FUNNEL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
 class InputError(Exception):
@@ -74,11 +78,11 @@ def _read_source(path: str) -> str:
 def _load_dag(path: str, condense: bool) -> Dag:
     text = _read_source(path)
     try:
-        count, arcs = read_arc_list(text)
         if condense:
+            count, arcs = read_arc_list(text)
             dag, _ = condense_scc(arcs, count)
             return dag
-        return Dag(count, arcs)
+        return parse_edge_list(text)
     except GraphError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -287,10 +291,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader went away (``funnelkit check FILE | head -1``).  Output
+        # still buffered would fail again at shutdown, so it goes to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 def entry() -> None:

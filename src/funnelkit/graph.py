@@ -5,21 +5,27 @@ Vertices are dense integer ids ``0..vertex_count-1``; an arc is a
 (simple, acyclic) and precomputes arc-id adjacency tables plus a topological
 order, after which it is immutable: every edit returns a new instance, so
 values can be shared freely across threads and processes.  Construction
-sorts the arcs once (linear on an edge-list file, which is already sorted)
-and validates the sorted tables, so no per-arc hashing happens.
+works on two tables, ``tails`` and ``heads``: ``Dag(n, arcs)`` sorts and
+unzips its arcs, and :func:`parse_edge_list` reads the tables straight from
+the text, building the arc tuples of ``dag.arcs`` only on first read.  Arcs
+already in order, as :func:`emit_edge_list` writes them, are not sorted
+again.
 
 Edge-list text format: one ``<tail> <head>`` pair per line, ``#`` comments and
 blank lines ignored, plus an optional leading header ``p <n> <m>`` declaring
-the vertex and arc counts (useful for trailing isolated vertices).
+the vertex and arc counts (useful for trailing isolated vertices).  Text in
+exactly the form :func:`emit_edge_list` writes is read in bulk; any other
+text, and any error, goes through a line loop that names the line at fault.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from array import array
-from itertools import accumulate, islice
-from operator import eq, itemgetter, sub
-from typing import IO, Iterable, Optional, Union
+from itertools import accumulate, islice, repeat
+from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
+from typing import IO, Iterable, Optional, Sequence, Union
 
 from .labeling import Labeling
 
@@ -66,7 +72,7 @@ def _offsets(n: int, ends: Iterable[int]) -> tuple[int, ...]:
     return tuple(accumulate(counts, initial=0))
 
 
-def _first_fault(n: int, arcs: list[Arc]) -> GraphError | ValueError:
+def _first_fault(n: int, arcs: Iterable[Arc]) -> GraphError | ValueError:
     """The error for the first arc, in input order, that is out of range, a
     self-loop or a repeat of an earlier arc."""
     seen: set[Arc] = set()
@@ -91,19 +97,20 @@ class Dag:
     ``in_tails`` over the same range, and neighbor tuples are slices, so
     every traversal of equal Dags is identical.
 
-    Validation reads the sorted arcs: the range check is the first and last
-    tail and the extreme heads, a self-loop is ``tails[a] == heads[a]`` and
-    duplicates are adjacent.  Only when one of these fails is the input
-    scanned in its given order, so that the error names the same arc as a
-    per-arc check would.  ``arc_set`` is built on its first read.
+    Validation reads the tables: the range check is the extreme tails and
+    heads, a self-loop is ``tails[a] == heads[a]``, and duplicates are
+    adjacent once the arcs are sorted.  Only when one of these fails is the
+    input scanned in its given order, so that the error names the same arc
+    as a per-arc check would.  ``arc_set``, and ``arcs`` of a Dag parsed
+    from text, are built on their first read.
 
     The topological order is Kahn's with ties broken toward the smallest
     ready id.  Ids are scanned in increasing order; a vertex that becomes
     ready after the scan passed it goes on a min-heap, and the heap is
     drained before the scan moves on.  Everything on the heap is below the
     scan position and every ready vertex not on it is above, so each step
-    takes the smallest ready id, and a graph whose arcs all point to higher
-    ids never touches the heap.
+    takes the smallest ready id.  When every arc points to a higher id the
+    order is the identity, which one check of the tables returns.
     """
 
     __slots__ = (
@@ -112,31 +119,60 @@ class Dag:
     )
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
+        given = list(map(tuple, arcs))  # arcs given as lists become tuples
+        ordered = sorted(given)
+        self._build(
+            vertex_count,
+            tuple(map(itemgetter(0), ordered)),
+            tuple(map(itemgetter(1), ordered)),
+            given,
+        )
+        self._arcs = tuple(ordered)
+
+    def _build(
+        self,
+        vertex_count: int,
+        tails: Sequence[int],
+        heads: Sequence[int],
+        given: Iterable[Arc],
+    ) -> None:
+        """Validate, sort and index the arc tables ``tails[i] -> heads[i]``.
+
+        ``given`` is the same arcs in input order, which names a faulty one.
+        """
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         n = self._n = int(vertex_count)
-        given = list(map(tuple, arcs))  # arcs given as lists become tuples
-        ordered = sorted(given)
-        tails = self.tails = tuple(map(itemgetter(0), ordered))
-        heads = self.heads = tuple(map(itemgetter(1), ordered))
-        if ordered and (
-            tails[0] < 0 or tails[-1] >= n or min(heads) < 0 or max(heads) >= n
+        if tails and (
+            min(tails) < 0 or max(tails) >= n or min(heads) < 0 or max(heads) >= n
             or any(map(eq, tails, heads))
-            or any(map(eq, ordered, islice(ordered, 1, None)))
         ):
             raise _first_fault(n, given)
-        self._arcs = tuple(ordered)
+        # Arcs in strictly increasing order are sorted and distinct already.
+        # Others are sorted by the key tail * n + head, which orders arcs in
+        # range as their pairs do.
+        if not all(map(lt, zip(tails, heads), zip(tails[1:], heads[1:]))):
+            keys = sorted(map(add, map(mul, tails, repeat(n)), heads))
+            if any(map(eq, keys, islice(keys, 1, None))):
+                raise _first_fault(n, given)
+            tails = map(floordiv, keys, repeat(n))
+            heads = map(mod, keys, repeat(n))
+        tails = self.tails = tuple(tails)
+        heads = self.heads = tuple(heads)
+        self._arcs: Optional[tuple[Arc, ...]] = None
         self._arc_set: Optional[ArcSet] = None
         self.out_off = _offsets(n, tails)
         self.in_off = _offsets(n, heads)
         # sorted() is stable, so ids with equal heads stay in tail order.
-        by_head = sorted(range(len(ordered)), key=heads.__getitem__)
+        by_head = sorted(range(len(tails)), key=heads.__getitem__)
         self.in_ids = array("i", by_head)
-        self.in_tails = tuple(map(tails.__getitem__, by_head))
+        self.in_tails = tuple([tails[a] for a in by_head])
         self._topo = self._kahn()
 
     def _kahn(self) -> tuple[int, ...]:
         n, heads, out_off, in_off = self._n, self.heads, self.out_off, self.in_off
+        if all(map(lt, self.tails, heads)):
+            return tuple(range(n))  # every arc points up: no id waits on a higher one
         indeg = list(map(sub, islice(in_off, 1, None), in_off))
         order: list[int] = []
         behind: list[int] = []  # min-heap of ready vertices the scan has passed
@@ -165,16 +201,18 @@ class Dag:
 
     @property
     def arc_count(self) -> int:
-        return len(self._arcs)
+        return len(self.tails)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
+        if self._arcs is None:
+            self._arcs = tuple(zip(self.tails, self.heads))
         return self._arcs
 
     @property
     def arc_set(self) -> ArcSet:
         if self._arc_set is None:
-            self._arc_set = frozenset(self._arcs)
+            self._arc_set = frozenset(self.arcs)
         return self._arc_set
 
     @property
@@ -207,13 +245,15 @@ class Dag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dag):
             return NotImplemented
-        return self._n == other._n and self._arcs == other._arcs
+        return (
+            self._n == other._n and self.tails == other.tails and self.heads == other.heads
+        )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._arcs))
+        return hash((self._n, self.tails, self.heads))
 
     def __repr__(self) -> str:
-        return f"Dag({self._n}, {list(self._arcs)!r})"
+        return f"Dag({self._n}, {list(self.arcs)!r})"
 
 
 def topological_order(dag: Dag) -> tuple[int, ...]:
@@ -233,14 +273,19 @@ def delete_arcs(dag: Dag, arcs: Iterable[Arc]) -> Dag:
     return Dag(dag.vertex_count, [a for a in dag.arcs if a not in gone])
 
 
-def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
-    """Tolerant edge-list reader: returns ``(vertex_count, arcs)``.
+# What emit_edge_list writes: an optional header, then "<tail> <head>" lines of
+# ASCII digits, each ending in a newline.  Nine digits are enough for any id
+# below MAX_VERTICES and keep int() far from its digit limit.
+_HEADER = re.compile(r"p ([0-9]{1,9}) ([0-9]{1,9})\n")
+_ARC_LINES = re.compile(r"(?:[0-9]{1,9} [0-9]{1,9}\n)*")
+# Plain text is matched and split in blocks of about this many characters:
+# a match keeps a backtracking frame per line, which over the 202,256 lines
+# of a planted n=10^5 file would take 40 MB.
+_BLOCK = 1 << 16
 
-    Only syntax is validated here; duplicates, self-loops and cycles pass
-    through untouched (the condensation entry point wants them).  The header,
-    when present, must agree with the ids and arc count that follow, and the
-    vertex count may not exceed :data:`MAX_VERTICES`.  Bytes must be UTF-8.
-    """
+
+def _read_tables(source: Union[str, bytes, IO]) -> tuple[int, list[int], list[int]]:
+    """``(vertex_count, tails, heads)`` of an edge list; see :func:`read_arc_list`."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -248,7 +293,34 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphError(f"invalid UTF-8 at byte {exc.start}") from None
-    arcs: list[Arc] = []
+    return _read_plain(source) or _read_lines(source)
+
+
+def _read_plain(text: str) -> Optional[tuple[int, list[int], list[int]]]:
+    """The tables of plain text, read in bulk: per block one format check,
+    one split and one int conversion.  ``None`` when the text is not plain
+    or breaks a rule, so that the line loop can name the line at fault."""
+    header = _HEADER.match(text)
+    start = header.end() if header else 0
+    ids: list[int] = []
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        if not _ARC_LINES.fullmatch(text, start, end):
+            return None
+        ids += map(int, text[start:end].split())
+        start = end
+    top = max(ids, default=-1)
+    tails, heads = ids[0::2], ids[1::2]
+    if header is None:
+        return (top + 1, tails, heads) if top < MAX_VERTICES else None
+    n, m = map(int, header.groups())
+    return (n, tails, heads) if n <= MAX_VERTICES and top < n and len(tails) == m else None
+
+
+def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
+    """The tables of any edge list, every rule checked line by line."""
+    tails: list[int] = []
+    heads: list[int] = []
     declared: Optional[tuple[int, int]] = None
     limit = MAX_VERTICES  # ids stay below this, or below the declared count
     header_line = 0
@@ -258,7 +330,7 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
             continue
         fields = line.split()
         if fields[0] == "p":
-            if declared is not None or arcs:
+            if declared is not None or tails:
                 raise MalformedLine(line_no, "unexpected header")
             if len(fields) != 3:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'")
@@ -281,21 +353,38 @@ def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
         if u >= limit or v >= limit:
             what = "declared count" if declared else "vertex limit"
             raise MalformedLine(line_no, f"vertex id beyond {what} {limit}")
-        arcs.append((u, v))
+        tails.append(u)
+        heads.append(v)
     if declared is not None:
-        if len(arcs) != declared[1]:
+        if len(tails) != declared[1]:
             raise MalformedLine(
-                header_line, f"header declares {declared[1]} arcs, found {len(arcs)}"
+                header_line, f"header declares {declared[1]} arcs, found {len(tails)}"
             )
-        return declared[0], arcs
-    n = max((max(u, v) for u, v in arcs), default=-1) + 1
-    return n, arcs
+        return declared[0], tails, heads
+    return max(max(tails, default=-1), max(heads, default=-1)) + 1, tails, heads
+
+
+def read_arc_list(source: Union[str, bytes, IO]) -> tuple[int, list[Arc]]:
+    """Tolerant edge-list reader: returns ``(vertex_count, arcs)``.
+
+    Only syntax is validated here; duplicates, self-loops and cycles pass
+    through untouched (the condensation entry point wants them).  The header,
+    when present, must agree with the ids and arc count that follow, and the
+    vertex count may not exceed :data:`MAX_VERTICES`.  Bytes must be UTF-8.
+    """
+    n, tails, heads = _read_tables(source)
+    return n, list(zip(tails, heads))
 
 
 def parse_edge_list(source: Union[str, bytes, IO]) -> Dag:
-    """Strict edge-list parser; the input must already be a simple DAG."""
-    n, arcs = read_arc_list(source)
-    return Dag(n, arcs)
+    """Strict edge-list parser; the input must already be a simple DAG.
+
+    Goes from text to the arc tables without building an arc tuple.
+    """
+    n, tails, heads = _read_tables(source)
+    dag = Dag.__new__(Dag)
+    dag._build(n, tails, heads, zip(tails, heads))
+    return dag
 
 
 def emit_edge_list(dag: Dag) -> str:

@@ -88,3 +88,26 @@ def random_dag(rng: SplitMix64, n: int, arc_chance_pct: int) -> Dag:
         if rng.below(100) < arc_chance_pct
     ]
     return Dag(n, arcs)
+
+
+# Edits that break an edge-list file in the ways real files break.
+FUZZ_TOKENS = [
+    b" ", b"\n", b"\t", b"\r\n", b"#", b"p", b"p 3 2\n", b"-1", b"1", b"9",
+    b"\n0 5\n", b"\n3 7\n", b"\n0 2\n", b"\n2 2\n", b"\n6 1\n", b"\n1 9\n",
+    b"1.5", b"nan", b"1e3", b"99999999999", b"\x00", b"\xff", "\u00e9".encode(),
+]
+FUZZ_BYTES = [bytes([b]) for b in b"0123456789 \n\t-p#"]
+
+
+def mutate(rng, data: bytes) -> bytes:
+    """One to three seeded edits: insert a byte, delete a span, insert junk."""
+    for _ in range(1 + rng.below(3)):
+        at = rng.below(len(data) + 1)
+        kind = rng.below(3)
+        if kind == 0:
+            data = data[:at] + FUZZ_BYTES[rng.below(len(FUZZ_BYTES))] + data[at:]
+        elif kind == 1:
+            data = data[:at] + data[at + 1 + rng.below(4):]
+        else:
+            data = data[:at] + FUZZ_TOKENS[rng.below(len(FUZZ_TOKENS))] + data[at:]
+    return data

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 import funnelkit.bench
 from funnelkit import GridSpec, SplitMix64, emit_edge_list, parse_edge_list
 from funnelkit.cli import main
-from samples import D0, DIAMOND, FUNNEL_8, G8, NEAR_FUNNEL_8, disjoint_copies
+from samples import D0, DIAMOND, FUNNEL_8, G8, NEAR_FUNNEL_8, disjoint_copies, mutate
 
 
 @pytest.fixture
@@ -100,12 +101,6 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
     assert "UTF-8" in err
 
 
-_FUZZ_TOKENS = [
-    b" ", b"\n", b"\t", b"\r\n", b"#", b"p", b"p 3 2\n", b"-1", b"1", b"9",
-    b"\n0 5\n", b"\n3 7\n", b"\n0 2\n", b"\n2 2\n", b"\n6 1\n", b"\n1 9\n",
-    b"1.5", b"nan", b"1e3", b"99999999999", b"\x00", b"\xff", "\u00e9".encode(),
-]
-_FUZZ_BYTES = [bytes([b]) for b in b"0123456789 \n\t-p#"]
 _FUZZ_ARGVS = [
     ["check"],
     ["check", "--condense"],
@@ -115,20 +110,6 @@ _FUZZ_ARGVS = [
 ]
 
 
-def _mutate(rng, data: bytes) -> bytes:
-    """One to three seeded edits: insert a byte, delete a span, insert junk."""
-    for _ in range(1 + rng.below(3)):
-        at = rng.below(len(data) + 1)
-        kind = rng.below(3)
-        if kind == 0:
-            data = data[:at] + _FUZZ_BYTES[rng.below(len(_FUZZ_BYTES))] + data[at:]
-        elif kind == 1:
-            data = data[:at] + data[at + 1 + rng.below(4):]
-        else:
-            data = data[:at] + _FUZZ_TOKENS[rng.below(len(_FUZZ_TOKENS))] + data[at:]
-    return data
-
-
 def test_mutated_edge_lists_never_raise(tmp_path, capsys):
     # Every outcome is an answer (0 or 1) or a one-line input error (2).
     text = emit_edge_list(NEAR_FUNNEL_8)
@@ -136,7 +117,7 @@ def test_mutated_edge_lists_never_raise(tmp_path, capsys):
     rng = SplitMix64(77)
     path = tmp_path / "fuzz.edges"
     for i in range(300):
-        path.write_bytes(_mutate(rng, bases[i % 2]))
+        path.write_bytes(mutate(rng, bases[i % 2]))
         for argv in _FUZZ_ARGVS:
             code = main([*argv, str(path)])
             err = capsys.readouterr().err
@@ -476,6 +457,31 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "funnel"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
+    # The reader is gone before the first write, so every write fails, with
+    # stdout buffered until exit or written line by line.
+    path = tmp_path / "f8.edges"
+    path.write_text(emit_edge_list(FUNNEL_8))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "funnelkit.cli", "check", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
 
 
 def test_stdin_input(tmp_path):

@@ -21,7 +21,8 @@ from funnelkit import (
     read_arc_list,
     topological_order,
 )
-from samples import D0, DIAMOND, random_dag
+from funnelkit.graph import MAX_VERTICES
+from samples import D0, DIAMOND, NEAR_FUNNEL_8, mutate, random_dag
 
 
 def test_construction_and_queries():
@@ -80,6 +81,8 @@ def test_arcs_as_lists_and_the_lazy_arc_set():
     assert Dag(4, iter(arcs)) == dag
     assert dag.arc_set == frozenset(arcs)
     assert dag.arc_set is dag.arc_set
+    parsed = parse_edge_list(emit_edge_list(dag))
+    assert parsed.arcs == dag.arcs and parsed.arcs is parsed.arcs
     with pytest.raises(ArcNotPresent):
         delete_arcs(dag, [(0, 3)])
     with pytest.raises(ArcNotPresent):
@@ -90,6 +93,10 @@ def test_topological_order_is_min_id_kahn():
     dag = Dag(6, [(5, 0), (4, 0), (0, 1), (3, 1)])
     # sources 2,3,4,5 drain smallest-first; 0 unlocks after 4 and 5
     assert topological_order(dag) == (2, 3, 4, 5, 0, 1)
+    # Every arc points to a higher id: the identity, as the scan would give.
+    arcs = [(0, 4), (1, 2), (2, 4), (3, 5), (1, 5)]
+    assert topological_order(Dag(6, arcs)) == _reference_adjacency(6, arcs)[2]
+    assert topological_order(Dag(6, arcs)) == (0, 1, 2, 3, 4, 5)
 
 
 def test_equality_and_hash():
@@ -241,3 +248,153 @@ def test_arc_id_tables_match_the_per_vertex_reference():
             assert dag.in_degree(v) == len(in_[v])
             assert [dag.arcs[a] for a in dag.out_arcs(v)] == [(v, w) for w in out[v]]
             assert [dag.arcs[a] for a in dag.in_arcs(v)] == [(u, v) for u in in_[v]]
+
+
+def _reference_read_arc_list(source):
+    """The line-by-line reader that preceded the bulk pass, kept verbatim."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"invalid UTF-8 at byte {exc.start}") from None
+    arcs = []
+    declared = None
+    limit = MAX_VERTICES  # ids stay below this, or below the declared count
+    header_line = 0
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if declared is not None or arcs:
+                raise MalformedLine(line_no, "unexpected header")
+            if len(fields) != 3:
+                raise MalformedLine(line_no, "expected 'p <n> <m>'")
+            try:
+                declared = (int(fields[1]), int(fields[2]))
+            except ValueError:
+                raise MalformedLine(line_no, "expected 'p <n> <m>'") from None
+            if not 0 <= declared[0] <= MAX_VERTICES:
+                raise MalformedLine(line_no, f"vertex count not in 0..{MAX_VERTICES}")
+            limit, header_line = declared[0], line_no
+            continue
+        if len(fields) != 2:
+            raise MalformedLine(line_no, f"expected '<tail> <head>', got {line!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise MalformedLine(line_no, f"non-integer vertex id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise MalformedLine(line_no, "vertex ids must be non-negative")
+        if u >= limit or v >= limit:
+            what = "declared count" if declared else "vertex limit"
+            raise MalformedLine(line_no, f"vertex id beyond {what} {limit}")
+        arcs.append((u, v))
+    if declared is not None:
+        if len(arcs) != declared[1]:
+            raise MalformedLine(
+                header_line, f"header declares {declared[1]} arcs, found {len(arcs)}"
+            )
+        return declared[0], arcs
+    n = max((max(u, v) for u, v in arcs), default=-1) + 1
+    return n, arcs
+
+
+def _outcome(fn, source):
+    """``fn(source)``, or the type and message of what it raised."""
+    try:
+        return fn(source)
+    except (GraphError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_like_the_reference(source):
+    expected = _outcome(_reference_read_arc_list, source)
+    assert _outcome(read_arc_list, source) == expected
+    built = _outcome(lambda s: Dag(*_reference_read_arc_list(s)), source)
+    parsed = _outcome(parse_edge_list, source)
+    assert parsed == built
+    if isinstance(parsed, Dag):
+        assert hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert parsed.arcs == built.arcs
+        assert parsed.arc_set == built.arc_set
+        assert parsed.topo_order == built.topo_order
+
+
+def _variants(rng, text):
+    """The same arcs written the ways other tools write them."""
+    header, *lines = text.splitlines()
+    shuffled = sorted(lines, key=lambda _: rng.below(1 << 30))
+    return [
+        text,
+        "\n".join(lines) + "\n",  # no header
+        "\n".join(lines),  # no final newline
+        "\n".join(shuffled) + "\n",
+        "\n".join([header, *shuffled]) + "\n",
+        "# made by hand\n" + "\n\n".join(lines) + "\n# end\n",
+        "\r\n".join([header, *lines]) + "\r\n",
+        "\n".join(line.replace(" ", "\t") for line in [header, *lines]) + "\n",
+        "\n".join("  " + line.replace(" ", "   ") for line in lines) + "\n",
+        "\n".join(["0" + line.replace(" ", " 0") for line in lines]) + "\n",
+    ]
+
+
+def test_loader_matches_the_line_reader_on_emitted_dags():
+    rng = SplitMix64(809)
+    for _ in range(300):
+        n = 1 + rng.below(14)
+        text = emit_edge_list(random_dag(rng, n, 40))
+        _assert_loads_like_the_reference(text)
+        _assert_loads_like_the_reference(text.encode())
+        if text.count("\n") > 1:
+            for variant in _variants(rng, text):
+                _assert_loads_like_the_reference(variant)
+
+
+def test_loader_matches_the_line_reader_on_mutated_files():
+    text = emit_edge_list(NEAR_FUNNEL_8)
+    bases = [text.encode(), text.split("\n", 1)[1].encode()]  # with and without header
+    rng = SplitMix64(78)
+    for i in range(2000):
+        _assert_loads_like_the_reference(mutate(rng, bases[i % 2]))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("p 4 3\n2 3\n0 1\n1 2\n", None, None),  # unsorted, plain
+        ("p 4 3\n0 1\n1 2\n0 1\n", DuplicateArc, r"duplicate arc \(0, 1\)"),
+        ("0 1\n2 3\n0 1\n", DuplicateArc, r"duplicate arc \(0, 1\)"),
+        ("p 3 2\n0 1\n2 2\n", SelfLoop, "self-loop at vertex 2"),
+        ("1 1\n0 1\n0 1\n", SelfLoop, "self-loop at vertex 1"),
+        ("0 1\n1 2\n2 0\n", CycleDetected, "directed cycle"),
+        ("p 3 2\n0 1\n1 3\n", MalformedLine, "line 3: vertex id beyond declared count 3"),
+        ("p 3 3\n0 1\n1 2\n", MalformedLine, "line 1: header declares 3 arcs, found 2"),
+        (f"0 {MAX_VERTICES}\n", MalformedLine, "line 1: vertex id beyond vertex limit"),
+        (f"p {MAX_VERTICES + 1} 0\n", MalformedLine, "line 1: vertex count not in"),
+    ],
+)
+def test_plain_files_with_faults_raise_the_errors_of_the_line_reader(text, error, message):
+    _assert_loads_like_the_reference(text)
+    if error is None:
+        assert parse_edge_list(text) == Dag(4, [(0, 1), (1, 2), (2, 3)])
+    else:
+        with pytest.raises(error, match=message):
+            parse_edge_list(text)
+
+
+def test_shuffled_arcs_build_the_sorted_tables():
+    rng = SplitMix64(811)
+    for _ in range(100):
+        n = 1 + rng.below(10)
+        arcs = list(random_dag(rng, n, 50).arcs)
+        shuffled = sorted(arcs, key=lambda _: rng.below(1000))
+        text = f"p {n} {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in shuffled)
+        for dag in (Dag(n, shuffled), parse_edge_list(text)):
+            assert dag == Dag(n, arcs)
+            assert dag.tails == tuple(u for u, _ in arcs)
+            assert dag.heads == tuple(v for _, v in arcs)
