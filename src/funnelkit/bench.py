@@ -122,7 +122,12 @@ def analyze(
     seed: Optional[int] = None,
     gen: Optional[GenParams] = None,
 ) -> Report:
-    """Run the requested solvers on one instance and assemble its report."""
+    """Run the requested solvers on one instance and assemble its report.
+
+    With ``mode="all"``, a lower bound equal to the approximation proves it
+    optimal (lower <= exact <= approx): the report takes it as the exact
+    size, not timed out, and no :class:`~funnelkit.exact.Solver` is built.
+    """
     if mode not in ("exact", "approx", "lower", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     report = Report(
@@ -145,10 +150,13 @@ def analyze(
         report.timings_ms["approx"] = (time.perf_counter() - start) * 1000
     if mode in ("exact", "all"):
         start = time.perf_counter()
-        result = Solver(dag, incumbent=approx, time_limit_ms=time_limit_ms).run()
+        if approx is not None and report.lower_bound == approx.size:
+            report.exact_size = approx.size
+        else:
+            result = Solver(dag, incumbent=approx, time_limit_ms=time_limit_ms).run()
+            report.exact_size = result.distance
+            report.timed_out = result.stats.timed_out
         report.timings_ms["exact"] = (time.perf_counter() - start) * 1000
-        report.exact_size = result.distance
-        report.timed_out = result.stats.timed_out
     if approx is not None and report.exact_size is not None and not report.timed_out:
         report.approx_ratio = (
             report.approx_size / report.exact_size if report.exact_size else 1.0

@@ -48,6 +48,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import sub
 from typing import Callable, Optional
 
 from .analysis import doomed_arcs
@@ -67,9 +69,14 @@ def lower_bound(dag: Dag) -> int:
     return _pack(
         dag,
         bytearray(b"\x01") * dag.arc_count,
-        list(map(dag.in_degree, dag.vertices())),
-        list(map(dag.out_degree, dag.vertices())),
+        _degrees(dag.in_off),
+        _degrees(dag.out_off),
     )
+
+
+def _degrees(off) -> list[int]:
+    """Per-vertex arc counts from a Dag's ``n + 1`` offset table."""
+    return list(map(sub, islice(off, 1, None), off))
 
 
 def _pack(dag: Dag, alive, live_in, live_out) -> int:
@@ -155,8 +162,8 @@ class Solver:
         self.stats = SolverStats()
         self._labels: list[Optional[Label]] = [None] * dag.vertex_count
         self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
-        self._live_in = [dag.in_degree(v) for v in dag.vertices()]
-        self._live_out = [dag.out_degree(v) for v in dag.vertices()]
+        self._live_in = _degrees(dag.in_off)
+        self._live_out = _degrees(dag.out_off)
         self._deleted = 0  # arc ids on the trail
         self._trail: list[int] = []  # arc id a >= 0, or ~v for a label of v
         self._trace = trace

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 from .graph import MAX_VERTICES, Arc, Dag
 from .labeling import Label, Labeling
@@ -66,20 +66,22 @@ def _sample_pairs(
     rng: SplitMix64,
     count: int,
     slots: int,
-    candidates: Callable[[], list[Arc]],
+    candidates: Callable[[], list],
     draw: Callable[[], Optional[Arc]],
+    decode: Optional[Callable[[list], list[Arc]]] = None,
 ) -> list[Arc]:
     """``count`` distinct pairs drawn uniformly from ``slots`` free ones.
 
-    Dense requests shuffle the sorted ``candidates()`` (partial Fisher-Yates);
-    sparse ones repeat ``draw()``, ``None`` meaning a rejected draw.
+    Dense requests shuffle the sorted ``candidates()`` (partial Fisher-Yates),
+    which ``decode`` turns into pairs when they are keys; sparse ones repeat
+    ``draw()``, ``None`` meaning a rejected draw.
     """
     if 2 * count >= slots:
         pool = candidates()
         for i in range(count):
             j = i + rng.below(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+        return decode(pool[:count]) if decode else pool[:count]
     picked: set[Arc] = set()
     while len(picked) < count:
         pair = draw()
@@ -106,15 +108,8 @@ class GenParams:
             raise ValueError("noise arc count must be non-negative")
 
 
-def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
-    """Random funnel with the identity as topological order.
-
-    Uniform i.i.d. Fork/Merge labels; an out-forest over the Fork vertices
-    (each Fork is a root with probability 1/(1 + number of earlier Forks),
-    otherwise it hangs under a uniformly chosen earlier Fork) and the mirror
-    in-forest over the Merge vertices; then Fork-to-Merge forward arcs drawn
-    uniformly without replacement up to ``ceil(p * possible)``.
-    """
+def _planted_arcs(params: GenParams) -> tuple[list[Arc], list[Label]]:
+    """The arcs and labels of the planted funnel of ``params``."""
     rng = SplitMix64(params.seed)
     n = params.n
     labels = [Label.FORK if rng.below(2) == 0 else Label.MERGE for _ in range(n)]
@@ -129,19 +124,70 @@ def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
         if i and (r := rng.below(i + 1)):
             arcs.append((v, merges[len(merges) - r]))
 
-    # Cross arcs run Fork -> Merge and forward in the vertex order.
+    # Cross arcs run Fork -> Merge and forward in the vertex order.  The dense
+    # pool holds keys f * n + m, which order as the pairs do and take less
+    # memory than tuples.  Decoding through ``ids`` lets the arcs of a vertex
+    # share one int object instead of each making its own.
     possible = sum(bisect_left(forks, m) for m in merges)
 
-    def pool() -> list[Arc]:
-        return sorted((f, m) for m in merges for f in forks if f < m)
+    def pool() -> list[int]:
+        return _cross_keys(n, forks, merges)
+
+    def decode(keys: list[int]) -> list[Arc]:
+        ids = list(range(n))
+        return [(ids[k // n], ids[k % n]) for k in keys]
 
     def draw() -> Optional[Arc]:
         f = forks[rng.below(len(forks))]
         m = merges[rng.below(len(merges))]
         return (f, m) if f < m else None
 
-    arcs += _sample_pairs(rng, math.ceil(params.p * possible), possible, pool, draw)
-    return Dag(n, arcs), Labeling(labels)
+    count = math.ceil(params.p * possible)
+    arcs += _sample_pairs(rng, count, possible, pool, draw, decode)
+    return arcs, labels
+
+
+def _cross_keys(n: int, forks: list[int], merges: list[int]) -> list[int]:
+    """The keys ``f * n + m`` of all pairs with ``f < m``, ascending.
+
+    Both lists ascend, so the keys come out in order without a sort.
+    """
+    return [f * n + m for f in forks for m in merges[bisect_left(merges, f) :]]
+
+
+def _noise_pairs(n: int, present: AbstractSet[Arc], s: int, seed: int) -> list[Arc]:
+    """``s`` forward pairs of ``range(n)`` absent from ``present``, uniformly.
+
+    Raises :class:`NotEnoughSlots` when fewer than ``s`` pairs are absent.
+    """
+    free = n * (n - 1) // 2 - len(present)
+    if s > free:
+        raise NotEnoughSlots(f"wanted {s} arcs, only {free} slots absent")
+    rng = SplitMix64(seed)
+
+    def pool() -> list[Arc]:
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return [pair for pair in pairs if pair not in present]
+
+    def draw() -> Optional[Arc]:
+        u = rng.below(n)
+        v = rng.below(n)
+        return (u, v) if u < v and (u, v) not in present else None
+
+    return _sample_pairs(rng, s, free, pool, draw)
+
+
+def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
+    """Random funnel with the identity as topological order.
+
+    Uniform i.i.d. Fork/Merge labels; an out-forest over the Fork vertices
+    (each Fork is a root with probability 1/(1 + number of earlier Forks),
+    otherwise it hangs under a uniformly chosen earlier Fork) and the mirror
+    in-forest over the Merge vertices; then Fork-to-Merge forward arcs drawn
+    uniformly without replacement up to ``ceil(p * possible)``.
+    """
+    arcs, labels = _planted_arcs(params)
+    return Dag(params.n, arcs), Labeling(labels)
 
 
 def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
@@ -150,37 +196,26 @@ def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
     The result stays a simple DAG and its deletion distance is at most ``s``.
     Raises :class:`NotEnoughSlots` when fewer than ``s`` pairs are absent.
     """
-    n = dag.vertex_count
-    free = n * (n - 1) // 2 - dag.arc_count
-    if s > free:
-        raise NotEnoughSlots(f"wanted {s} arcs, only {free} slots absent")
     if s == 0:
         return dag
-    rng = SplitMix64(seed)
-
-    def pool() -> list[Arc]:
-        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
-        return [pair for pair in pairs if pair not in dag.arc_set]
-
-    def draw() -> Optional[Arc]:
-        u = rng.below(n)
-        v = rng.below(n)
-        return (u, v) if u < v and (u, v) not in dag.arc_set else None
-
-    return Dag(n, list(dag.arcs) + _sample_pairs(rng, s, free, pool, draw))
+    noise = _noise_pairs(dag.vertex_count, dag.arc_set, s, seed)
+    return Dag(dag.vertex_count, list(dag.arcs) + noise)
 
 
 def planted_instance(params: GenParams) -> tuple[Dag, Optional[Labeling]]:
     """The instance of ``params``: its planted funnel plus ``s`` noise arcs.
 
     The one recipe behind bench rows and ``funnelkit generate``: the noise is
-    seeded with ``derive_seed(seed, 1)``.  The planted labeling comes back
+    seeded with ``derive_seed(seed, 1)``.  It equals
+    ``add_noise_arcs(generate_planted_funnel(params)[0], s, derive_seed(seed,
+    1))`` but builds one ``Dag``, not two.  The planted labeling comes back
     only when there is no noise, since noise may leave it invalid.
     """
-    funnel, labeling = generate_planted_funnel(params)
+    arcs, labels = _planted_arcs(params)
     if not params.s:
-        return funnel, labeling
-    return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1)), None
+        return Dag(params.n, arcs), Labeling(labels)
+    noise = _noise_pairs(params.n, set(arcs), params.s, derive_seed(params.seed, 1))
+    return Dag(params.n, arcs + noise), None
 
 
 @dataclass(frozen=True)

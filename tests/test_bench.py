@@ -3,9 +3,24 @@ import json
 
 import pytest
 
-from funnelkit import GenParams, GridSpec, analyze, run_grid, summarize, write_csv
+import funnelkit.bench as bench
+from funnelkit import (
+    GenParams,
+    GridSpec,
+    Solver,
+    SplitMix64,
+    analyze,
+    approximate_addf,
+    derive_seed,
+    is_funnel_degree,
+    lower_bound,
+    planted_instance,
+    run_grid,
+    summarize,
+    write_csv,
+)
 from funnelkit.bench import Report
-from samples import D0, DIAMOND, TIGHT_12
+from samples import D0, DIAMOND, G8, TIGHT_12
 
 
 def test_analyze_modes():
@@ -146,3 +161,105 @@ def test_summarize_and_csv():
     assert lines[1].endswith(",,,")
     timed = write_csv(reports, with_times=True).splitlines()
     assert not timed[1].endswith(",,,")
+
+
+# ---- certified rows: lower bound == approximation ----
+
+
+def reference_analyze(dag, instance, time_limit_ms=None, seed=None, gen=None):
+    """``analyze(mode="all")`` as it was before certified rows skipped the
+    search: the solver runs on every instance."""
+    report = Report(
+        instance=instance,
+        n=dag.vertex_count,
+        m=dag.arc_count,
+        is_funnel=is_funnel_degree(dag),
+        seed=seed,
+        gen=gen,
+    )
+    report.lower_bound = lower_bound(dag)
+    approx = approximate_addf(dag)
+    report.approx_size = approx.size
+    result = Solver(dag, incumbent=approx, time_limit_ms=time_limit_ms).run()
+    report.exact_size = result.distance
+    report.timed_out = result.stats.timed_out
+    if not report.timed_out:
+        report.approx_ratio = approx.size / result.distance if result.distance else 1.0
+    return report.check()
+
+
+def random_planted_params(count):
+    rng = SplitMix64(2024)
+    for i in range(count):
+        n = 6 + rng.below(35)
+        p = rng.below(11) / 10
+        s = rng.below(n) if i % 4 else 0
+        yield f"r{i}", GenParams(n=n, p=p, s=s, seed=derive_seed(9, i))
+
+
+@pytest.mark.parametrize("time_limit_ms", [None, 0.0])
+def test_certified_rows_match_a_full_search_on_random_instances(time_limit_ms):
+    # Planted instances rarely leave the approximation above the optimum;
+    # the hand-made samples do.
+    instances = [("tight12", TIGHT_12, None), ("g8", G8, None)] + [
+        (name, planted_instance(params)[0], params)
+        for name, params in random_planted_params(200)
+    ]
+    new, old = [], []
+    for name, dag, params in instances:
+        seed = params.seed if params else None
+        new.append(analyze(dag, name, "all", time_limit_ms, seed, params))
+        old.append(reference_analyze(dag, name, time_limit_ms, seed, params))
+        assert new[-1].to_json_dict() == old[-1].to_json_dict(), name
+    assert write_csv(new) == write_csv(old)
+    # Both sides of the shortcut are covered, and so is an open gap.
+    gaps = [r for r in new if r.lower_bound < r.approx_size]
+    assert 20 <= len(gaps) <= len(new) - 100
+    if time_limit_ms is None:
+        assert any(r.exact_size < r.approx_size for r in gaps)
+    else:
+        assert any(r.timed_out for r in gaps)
+
+
+@pytest.mark.parametrize("time_limit_ms", [None, 0.0])
+def test_certified_rows_match_a_full_search_on_a_grid(time_limit_ms):
+    spec = dataclasses.replace(
+        SMALL, ns=(12, 30), ss=(0, 12), time_limit_ms=time_limit_ms
+    )
+    reports = run_grid(spec)
+    reference = [
+        reference_analyze(planted_instance(p)[0], name, time_limit_ms, p.seed, p)
+        for name, p in spec.instances()
+    ]
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in reference]
+    assert write_csv(reports) == write_csv(reference)
+    assert any(r.lower_bound < r.approx_size for r in reports)
+
+
+def test_solver_is_built_only_for_an_open_gap(monkeypatch):
+    class SolverBuilt(Exception):
+        pass
+
+    def no_solver(*args, **kwargs):
+        raise SolverBuilt
+
+    monkeypatch.setattr(bench, "Solver", no_solver)
+    gaps = 0
+    for dag in [D0, DIAMOND, TIGHT_12] + [
+        planted_instance(params)[0] for _, params in random_planted_params(60)
+    ]:
+        lower, approx = lower_bound(dag), approximate_addf(dag).size
+        for limit in (None, 0.0):
+            if lower == approx:
+                report = analyze(dag, "x", time_limit_ms=limit)
+                assert report.exact_size == approx and not report.timed_out
+                assert report.approx_ratio == 1.0
+                assert "exact" in report.timings_ms
+            else:
+                with pytest.raises(SolverBuilt):
+                    analyze(dag, "x", time_limit_ms=limit)
+        gaps += lower < approx
+    assert gaps
+    # Without both numbers there is no certificate, so mode "exact" searches.
+    with pytest.raises(SolverBuilt):
+        analyze(D0, "d0", mode="exact")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import funnelkit
+import funnelkit.generator as generator
 from funnelkit import (
     CnfFormula,
     GenParams,
@@ -20,6 +21,7 @@ from funnelkit import (
     is_funnel_degree,
     lower_bound,
     parse_dimacs,
+    planted_instance,
     reduce_3sat,
     sat_oracle,
     solve_addf,
@@ -224,6 +226,74 @@ def test_noise_arcs_are_pinned(s):
     base, _ = generate_planted_funnel(GenParams(n=7, p=0.5, s=0, seed=3))
     assert base.arcs == ((0, 5), (4, 5))
     assert add_noise_arcs(base, s, seed=11).arcs == PINNED_NOISE[s]
+
+
+# ---- one recipe, one Dag ----
+
+
+def two_step_instance(params):
+    """The instance of ``params`` built as a funnel Dag, then a noisy one."""
+    funnel, _ = generate_planted_funnel(params)
+    return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
+
+
+def assert_same_dag(a, b):
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.arcs == b.arcs
+
+
+@pytest.mark.parametrize(
+    "n, p, s",
+    [
+        (30, 0.9, 4),  # dense cross arcs: the sorted pool is shuffled
+        (30, 0.6, 200),  # dense noise: pool of the free slots
+        (60, 0.1, 5),  # sparse: rejection sampling on both sides
+        (25, 0.0, 3),  # forests only
+        (40, 1.0, 0),  # no noise: the planted labeling comes back
+        (1, 0.5, 0),
+        (2, 0.5, 1),
+    ],
+)
+def test_planted_instance_is_the_funnel_plus_its_noise(n, p, s):
+    for seed in range(12):
+        params = GenParams(n=n, p=p, s=s, seed=derive_seed(seed, n))
+        try:
+            expected = two_step_instance(params)
+        except NotEnoughSlots:
+            with pytest.raises(NotEnoughSlots):
+                planted_instance(params)
+            continue
+        dag, labeling = planted_instance(params)
+        assert_same_dag(dag, expected)
+        assert labeling == (generate_planted_funnel(params)[1] if s == 0 else None)
+
+
+def test_planted_instance_fills_every_slot_and_no_more():
+    for seed in range(6):
+        funnel, _ = generate_planted_funnel(GenParams(n=9, p=0.5, s=0, seed=seed))
+        free = 9 * 8 // 2 - funnel.arc_count
+        full = GenParams(n=9, p=0.5, s=free, seed=seed)
+        dag, _ = planted_instance(full)
+        assert dag.arc_count == 9 * 8 // 2
+        assert_same_dag(dag, two_step_instance(full))
+        over = GenParams(n=9, p=0.5, s=free + 1, seed=seed)
+        with pytest.raises(NotEnoughSlots):
+            planted_instance(over)
+        with pytest.raises(NotEnoughSlots):
+            two_step_instance(over)
+
+
+def test_cross_pair_pool_is_the_sorted_comprehension():
+    rng = SplitMix64(77)
+    for n in range(24):
+        for _ in range(6):
+            labels = [rng.below(2) for _ in range(n)]
+            forks = [v for v in range(n) if labels[v] == 0]
+            merges = [v for v in range(n) if labels[v] == 1]
+            reference = sorted((f, m) for m in merges for f in forks if f < m)
+            keys = generator._cross_keys(n, forks, merges)
+            assert [divmod(key, n) for key in keys] == reference
 
 
 def test_generator_does_not_load_the_solver():
