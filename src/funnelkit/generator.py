@@ -3,14 +3,21 @@
 All randomness comes from SplitMix64 seeded explicitly, never from the
 platform default generator, so any instance is reproducible bit-for-bit from
 its parameters on any machine or Python version.
+
+Cross arcs and noise arcs come from one sampler, ``_forward_pairs``: both
+draw forward pairs ``r < c`` from rows x cols minus the pairs already taken.
+One request draws at most ``MAX_VERTICES`` arcs, checked before its pool is
+built.  Noise is added only to DAGs whose arcs all run forward in the vertex
+order, the order every generated funnel has.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Optional
+from operator import ge
+from typing import AbstractSet, Optional, Sequence
 
 from .graph import MAX_VERTICES, Arc, Dag
 from .labeling import Label, Labeling
@@ -62,34 +69,6 @@ def derive_seed(base: int, index: int) -> int:
     return SplitMix64((base + index * _GOLDEN) & _MASK64).next_u64()
 
 
-def _sample_pairs(
-    rng: SplitMix64,
-    count: int,
-    slots: int,
-    candidates: Callable[[], list],
-    draw: Callable[[], Optional[Arc]],
-    decode: Optional[Callable[[list], list[Arc]]] = None,
-) -> list[Arc]:
-    """``count`` distinct pairs drawn uniformly from ``slots`` free ones.
-
-    Dense requests shuffle the sorted ``candidates()`` (partial Fisher-Yates),
-    which ``decode`` turns into pairs when they are keys; sparse ones repeat
-    ``draw()``, ``None`` meaning a rejected draw.
-    """
-    if 2 * count >= slots:
-        pool = candidates()
-        for i in range(count):
-            j = i + rng.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return decode(pool[:count]) if decode else pool[:count]
-    picked: set[Arc] = set()
-    while len(picked) < count:
-        pair = draw()
-        if pair is not None:
-            picked.add(pair)
-    return sorted(picked)
-
-
 @dataclass(frozen=True)
 class GenParams:
     """Planted-funnel parameters: size, cross-arc density, noise arcs, seed."""
@@ -124,57 +103,61 @@ def _planted_arcs(params: GenParams) -> tuple[list[Arc], list[Label]]:
         if i and (r := rng.below(i + 1)):
             arcs.append((v, merges[len(merges) - r]))
 
-    # Cross arcs run Fork -> Merge and forward in the vertex order.  The dense
-    # pool holds keys f * n + m, which order as the pairs do and take less
-    # memory than tuples.  Decoding through ``ids`` lets the arcs of a vertex
-    # share one int object instead of each making its own.
+    # Cross arcs run Fork -> Merge and forward in the vertex order.
     possible = sum(bisect_left(forks, m) for m in merges)
-
-    def pool() -> list[int]:
-        return _cross_keys(n, forks, merges)
-
-    def decode(keys: list[int]) -> list[Arc]:
-        ids = list(range(n))
-        return [(ids[k // n], ids[k % n]) for k in keys]
-
-    def draw() -> Optional[Arc]:
-        f = forks[rng.below(len(forks))]
-        m = merges[rng.below(len(merges))]
-        return (f, m) if f < m else None
-
     count = math.ceil(params.p * possible)
-    arcs += _sample_pairs(rng, count, possible, pool, draw, decode)
+    arcs += _forward_pairs(rng, n, forks, merges, possible, count)
     return arcs, labels
 
 
-def _cross_keys(n: int, forks: list[int], merges: list[int]) -> list[int]:
-    """The keys ``f * n + m`` of all pairs with ``f < m``, ascending.
+def _forward_pairs(
+    rng: SplitMix64,
+    n: int,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    pairs: int,
+    count: int,
+    taken: AbstractSet[Arc] = frozenset(),
+) -> list[Arc]:
+    """``count`` distinct pairs ``(r, c)``, ``r < c``, drawn uniformly from
+    ``rows`` x ``cols`` minus ``taken``.
 
-    Both lists ascend, so the keys come out in order without a sort.
+    ``rows`` and ``cols`` ascend in ``range(n)``, ``pairs`` counts their
+    pairs with ``r < c`` and ``taken`` holds only such pairs.  Dense requests
+    shuffle the ascending keys ``r * n + c`` (partial Fisher-Yates), which
+    order as the pairs do and take less memory than tuples; sparse ones draw
+    a row and a column until a free pair comes up.
     """
-    return [f * n + m for f in forks for m in merges[bisect_left(merges, f) :]]
+    slots = pairs - len(taken)
+    if count > slots:
+        raise NotEnoughSlots(f"wanted {count} arcs, only {slots} slots absent")
+    if count > MAX_VERTICES:
+        raise ValueError(f"wanted {count} arcs, more than the cap of {MAX_VERTICES}")
+    if 2 * count >= slots:
+        pool = [r * n + c for r in rows for c in cols[bisect_right(cols, r) :]]
+        if taken:
+            gone = {u * n + v for u, v in taken}
+            pool = [key for key in pool if key not in gone]
+        for i in range(count):
+            j = i + rng.below(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        # Decoding through ``ids`` lets the arcs of a vertex share one int
+        # object instead of each making its own.
+        ids = list(range(n))
+        return [(ids[key // n], ids[key % n]) for key in pool[:count]]
+    picked: set[Arc] = set()
+    while len(picked) < count:
+        r = rows[rng.below(len(rows))]
+        c = cols[rng.below(len(cols))]
+        if r < c and (r, c) not in taken:
+            picked.add((r, c))
+    return sorted(picked)
 
 
-def _noise_pairs(n: int, present: AbstractSet[Arc], s: int, seed: int) -> list[Arc]:
-    """``s`` forward pairs of ``range(n)`` absent from ``present``, uniformly.
-
-    Raises :class:`NotEnoughSlots` when fewer than ``s`` pairs are absent.
-    """
-    free = n * (n - 1) // 2 - len(present)
-    if s > free:
-        raise NotEnoughSlots(f"wanted {s} arcs, only {free} slots absent")
-    rng = SplitMix64(seed)
-
-    def pool() -> list[Arc]:
-        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
-        return [pair for pair in pairs if pair not in present]
-
-    def draw() -> Optional[Arc]:
-        u = rng.below(n)
-        v = rng.below(n)
-        return (u, v) if u < v and (u, v) not in present else None
-
-    return _sample_pairs(rng, s, free, pool, draw)
+def _noise(n: int, present: AbstractSet[Arc], s: int, seed: int) -> list[Arc]:
+    """``s`` forward pairs of ``range(n)`` absent from ``present``, uniformly."""
+    ids = range(n)
+    return _forward_pairs(SplitMix64(seed), n, ids, ids, n * (n - 1) // 2, s, present)
 
 
 def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
@@ -193,12 +176,17 @@ def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
 def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
     """Add ``s`` absent forward arcs (w.r.t. vertex order) chosen uniformly.
 
-    The result stays a simple DAG and its deletion distance is at most ``s``.
-    Raises :class:`NotEnoughSlots` when fewer than ``s`` pairs are absent.
+    Every arc of ``dag`` must run forward too, so the result stays a simple
+    DAG and its deletion distance is at most ``s``; ValueError names the
+    first arc that does not.  Raises :class:`NotEnoughSlots` when fewer than
+    ``s`` pairs are absent.
     """
+    if any(map(ge, dag.tails, dag.heads)):
+        u, v = next(arc for arc in dag.arcs if arc[0] > arc[1])
+        raise ValueError(f"arc ({u}, {v}) does not run forward in the vertex order")
     if s == 0:
         return dag
-    noise = _noise_pairs(dag.vertex_count, dag.arc_set, s, seed)
+    noise = _noise(dag.vertex_count, dag.arc_set, s, seed)
     return Dag(dag.vertex_count, list(dag.arcs) + noise)
 
 
@@ -214,7 +202,7 @@ def planted_instance(params: GenParams) -> tuple[Dag, Optional[Labeling]]:
     arcs, labels = _planted_arcs(params)
     if not params.s:
         return Dag(params.n, arcs), Labeling(labels)
-    noise = _noise_pairs(params.n, set(arcs), params.s, derive_seed(params.seed, 1))
+    noise = _noise(params.n, set(arcs), params.s, derive_seed(params.seed, 1))
     return Dag(params.n, arcs + noise), None
 
 

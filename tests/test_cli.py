@@ -269,6 +269,19 @@ def test_generate_rejects_too_many_vertices(tmp_path, capsys):
     _assert_input_error(argv, capsys, tmp_path, "vertex count")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "100000", "--p", "1"],  # 1,244,293,113 cross arcs
+        ["--n", "20000", "--p", "0", "--s", "100000000"],
+    ],
+)
+def test_generate_bounds_the_arcs_it_draws(tmp_path, capsys, flags):
+    # Rejected before the pool of candidate pairs is built.
+    argv = ["generate", *flags, "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "cap of 10000000")
+
+
 def test_generate_rejects_a_too_large_cnf_gadget(tmp_path, capsys):
     cnf = tmp_path / "big.cnf"
     cnf.write_text("p cnf 1666667 0\n")  # 10,000,002 gadget vertices
@@ -380,6 +393,15 @@ def test_bench_rejects_too_many_vertices(tmp_path, capsys):
     grid.write_text('{"ns": [10000001], "replicates": 1}')
     out = tmp_path / "report.csv"
     assert "vertex count" in _bench_error(["--grid", str(grid), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_bench_bounds_the_arcs_a_row_draws(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ns": [100000], "ps": [1], "ss": [0], "replicates": 1}')
+    out = tmp_path / "report.csv"
+    err = _bench_error(["--grid", str(grid), "--out", str(out)], capsys)
+    assert "cap of 10000000" in err
     assert not out.exists()
 
 

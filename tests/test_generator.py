@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -284,16 +286,148 @@ def test_planted_instance_fills_every_slot_and_no_more():
             two_step_instance(over)
 
 
-def test_cross_pair_pool_is_the_sorted_comprehension():
-    rng = SplitMix64(77)
-    for n in range(24):
-        for _ in range(6):
-            labels = [rng.below(2) for _ in range(n)]
-            forks = [v for v in range(n) if labels[v] == 0]
-            merges = [v for v in range(n) if labels[v] == 1]
-            reference = sorted((f, m) for m in merges for f in forks if f < m)
-            keys = generator._cross_keys(n, forks, merges)
-            assert [divmod(key, n) for key in keys] == reference
+# ---- the forward-pair sampler against the samplers it replaced ----
+# Copied from the generator as it was before cross arcs and noise arcs shared
+# one sampler; ``reference_noise_pairs`` takes its generator instead of a seed
+# so that the state it leaves can be compared.
+
+
+def reference_sample_pairs(rng, count, slots, candidates, draw, decode=None):
+    if 2 * count >= slots:
+        pool = candidates()
+        for i in range(count):
+            j = i + rng.below(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return decode(pool[:count]) if decode else pool[:count]
+    picked = set()
+    while len(picked) < count:
+        pair = draw()
+        if pair is not None:
+            picked.add(pair)
+    return sorted(picked)
+
+
+def reference_cross_keys(n, forks, merges):
+    return [f * n + m for f in forks for m in merges[bisect_left(merges, f) :]]
+
+
+def reference_cross_pairs(rng, n, forks, merges, count):
+    possible = sum(bisect_left(forks, m) for m in merges)
+
+    def pool():
+        return reference_cross_keys(n, forks, merges)
+
+    def decode(keys):
+        ids = list(range(n))
+        return [(ids[k // n], ids[k % n]) for k in keys]
+
+    def draw():
+        f = forks[rng.below(len(forks))]
+        m = merges[rng.below(len(merges))]
+        return (f, m) if f < m else None
+
+    return reference_sample_pairs(rng, count, possible, pool, draw, decode)
+
+
+def reference_noise_pairs(n, present, s, rng):
+    free = n * (n - 1) // 2 - len(present)
+    if s > free:
+        raise NotEnoughSlots(f"wanted {s} arcs, only {free} slots absent")
+
+    def pool():
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+        return [pair for pair in pairs if pair not in present]
+
+    def draw():
+        u = rng.below(n)
+        v = rng.below(n)
+        return (u, v) if u < v and (u, v) not in present else None
+
+    return reference_sample_pairs(rng, s, free, pool, draw)
+
+
+def _request_size(rng, slots):
+    """Zero, all, or a uniform share of ``slots``: both sides of the switch."""
+    pick = rng.below(4)
+    return 0 if pick == 0 else slots if pick == 1 else rng.below(slots + 1)
+
+
+def test_forward_pairs_draws_what_the_old_samplers_drew():
+    cases = SplitMix64(2024)
+    sides = set()
+    for case in range(600):
+        n = 1 + cases.below(24)
+        labels = [cases.below(2) for _ in range(n)]
+        forks = [v for v in range(n) if labels[v] == 0]
+        merges = [v for v in range(n) if labels[v] == 1]
+        forward = sorted((f, m) for m in merges for f in forks if f < m)
+        count = _request_size(cases, len(forward))
+        old, new = SplitMix64(case), SplitMix64(case)
+        pairs = generator._forward_pairs(new, n, forks, merges, len(forward), count)
+        assert pairs == reference_cross_pairs(old, n, forks, merges, count)
+        assert new._state == old._state
+        if count == len(forward):
+            assert sorted(pairs) == forward
+        sides.add(("cross", 2 * count >= len(forward)))
+
+        everything = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        present = {pair for pair in everything if cases.below(3) == 0}
+        if case % 2:
+            present = set()
+        free = [pair for pair in everything if pair not in present]
+        s = _request_size(cases, len(free))
+        old, new = SplitMix64(~case), SplitMix64(~case)
+        pairs = generator._forward_pairs(
+            new, n, range(n), range(n), len(everything), s, present
+        )
+        assert pairs == reference_noise_pairs(n, present, s, old)
+        assert new._state == old._state
+        if s == len(free):
+            assert sorted(pairs) == free
+        sides.add(("noise", 2 * s >= len(free), bool(present)))
+    assert len(sides) == 6  # dense and sparse, with and without taken pairs
+
+
+def test_forward_pairs_reports_the_free_slots():
+    present = {(0, 1), (1, 2)}
+    with pytest.raises(NotEnoughSlots, match="wanted 2 arcs, only 1 slots absent"):
+        generator._forward_pairs(SplitMix64(0), 3, range(3), range(3), 3, 2, present)
+
+
+# ---- requests bounded before the pool is built ----
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(n=100_000, p=1.0, s=0, seed=0),  # 1,244,293,113 cross arcs
+        GenParams(n=20_000, p=0.0, s=10**8, seed=0),  # dense noise
+        GenParams(n=20_000, p=0.0, s=MAX_VERTICES + 1, seed=0),  # sparse noise
+    ],
+)
+def test_arc_requests_are_bounded_before_allocating(params):
+    with pytest.raises(ValueError, match=f"cap of {MAX_VERTICES}"):
+        planted_instance(params)
+
+
+# ---- noise needs forward arcs ----
+
+
+@pytest.mark.parametrize(
+    "arcs, s, first",
+    [
+        ([(2, 0)], 1, "(2, 0)"),  # used to close a cycle for some seeds
+        ([(2, 0), (2, 1)], 2, "(2, 0)"),  # used to miscount the free slots
+        ([(3, 1), (0, 2), (2, 1)], 1, "(2, 1)"),
+        ([(1, 0)], 0, "(1, 0)"),
+    ],
+)
+def test_add_noise_arcs_rejects_backward_arcs(arcs, s, first):
+    from funnelkit import Dag
+
+    for seed in range(20):
+        with pytest.raises(ValueError, match=re.escape(first)):
+            add_noise_arcs(Dag(4, arcs), s, seed)
 
 
 def test_generator_does_not_load_the_solver():
