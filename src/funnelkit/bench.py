@@ -9,24 +9,21 @@ reproduce byte-identical output.  The invariant chain
 is checked on every report (it holds even for timed-out exact runs, whose
 size is the incumbent upper bound).
 
-CSV columns, in order:
-
-    instance,n,m,seed,gen_n,gen_p,gen_s,is_funnel,lower_bound,approx_size,
-    exact_size,timed_out,approx_ratio,lower_ms,approx_ms,exact_ms
-
-A trailing block of '#'-prefixed lines summarizes solved percentages and the
-distribution of approximation ratios.
+CSV rows hold the columns of ``CSV_COLUMNS``, in order.  A trailing block
+of '#'-prefixed lines summarizes solved percentages and the distribution of
+approximation ratios.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .analysis import is_funnel_degree
@@ -84,33 +81,20 @@ class Report:
         return self
 
     def to_json_dict(self, with_times: bool = False) -> dict:
-        out: dict = {
-            "schema": REPORT_SCHEMA,
-            "instance": self.instance,
-            "n": self.n,
-            "m": self.m,
-            "is_funnel": self.is_funnel,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.gen is not None:
-            out["gen"] = {
-                "n": self.gen.n,
-                "p": self.gen.p,
-                "s": self.gen.s,
-                "seed": self.gen.seed,
-            }
-        if self.lower_bound is not None:
-            out["lower_bound"] = self.lower_bound
-        if self.approx_size is not None:
-            out["approx_size"] = self.approx_size
-        if self.exact_size is not None:
-            out["exact_size"] = self.exact_size
-            out["timed_out"] = self.timed_out
-        if self.approx_ratio is not None:
-            out["approx_ratio"] = self.approx_ratio
+        """``{"schema": ...}`` plus every field that is not ``None``.
+
+        ``timed_out`` is kept only with ``exact_size``, ``timings_ms`` only
+        under ``with_times`` (rounded to 3 places), and ``gen`` is the field
+        dict of its :class:`~funnelkit.generator.GenParams`.
+        """
+        out = {"schema": REPORT_SCHEMA}
+        out.update((k, v) for k, v in asdict(self).items() if v is not None)
+        if self.exact_size is None:
+            del out["timed_out"]
         if with_times:
             out["timings_ms"] = {k: round(v, 3) for k, v in self.timings_ms.items()}
+        else:
+            del out["timings_ms"]
         return out
 
 
@@ -219,20 +203,19 @@ class GridSpec:
                 raise ValueError(f"grid key {key!r} must be an integer, got {item!r}")
         if given["replicates"] < 1:
             raise ValueError("grid key 'replicates' must be >= 1")
-        given["time_limit_ms"] = parse_time_limit(given["time_limit_ms"])
+        limit = given["time_limit_ms"]
+        if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+            raise ValueError(f"grid time limit must be a JSON number, got {limit!r}")
+        given["time_limit_ms"] = parse_time_limit(limit)
         return cls(**given)
 
     def instances(self):
-        index = 0
-        for n in self.ns:
-            for p in self.ps:
-                for s in self.ss:
-                    for rep in range(self.replicates):
-                        yield (
-                            f"n{n}-p{p}-s{s}-r{rep}",
-                            GenParams(n=n, p=p, s=s, seed=derive_seed(self.seed, index)),
-                        )
-                        index += 1
+        grid = itertools.product(self.ns, self.ps, self.ss, range(self.replicates))
+        for index, (n, p, s, rep) in enumerate(grid):
+            yield (
+                f"n{n}-p{p}-s{s}-r{rep}",
+                GenParams(n=n, p=p, s=s, seed=derive_seed(self.seed, index)),
+            )
 
 
 def _bench_task(args: tuple[str, GenParams, float]) -> Report:
@@ -290,13 +273,13 @@ def summarize(reports: list[Report]) -> dict:
     }
 
 
-def _csv_value(value, fmt: str = "") -> str:
+def _csv_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return format(value, fmt or ".6f")
+        return format(value, ".6f")
     return str(value)
 
 
@@ -306,27 +289,12 @@ def write_csv(reports: list[Report], with_times: bool = False) -> str:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        times = r.timings_ms if with_times else {}
-        writer.writerow(
-            [
-                r.instance,
-                r.n,
-                r.m,
-                _csv_value(r.seed),
-                _csv_value(r.gen.n if r.gen else None),
-                _csv_value(r.gen.p if r.gen else None),
-                _csv_value(r.gen.s if r.gen else None),
-                _csv_value(r.is_funnel),
-                _csv_value(r.lower_bound),
-                _csv_value(r.approx_size),
-                _csv_value(r.exact_size),
-                _csv_value(r.timed_out),
-                _csv_value(r.approx_ratio),
-                _csv_value(times.get("lower"), ".3f"),
-                _csv_value(times.get("approx"), ".3f"),
-                _csv_value(times.get("exact"), ".3f"),
-            ]
-        )
+        row = dict(vars(r))
+        if r.gen is not None:
+            row.update((f"gen_{k}", v) for k, v in vars(r.gen).items())
+        if with_times:
+            row.update((f"{k}_ms", f"{v:.3f}") for k, v in r.timings_ms.items())
+        writer.writerow([_csv_value(row.get(column)) for column in CSV_COLUMNS])
     summary = summarize(reports)
     sink.write(f"# instances={summary['instances']} solved={summary['solved']}")
     sink.write(f" solved_pct={summary['solved_pct']:.6f}\n")

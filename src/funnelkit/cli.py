@@ -151,10 +151,7 @@ def cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
             "schema": GEN_SCHEMA,
             "tool": f"funnelkit {__version__}",
             "kind": "planted",
-            "n": params.n,
-            "p": params.p,
-            "s": params.s,
-            "seed": params.seed,
+            **dataclasses.asdict(params),
         }
 
     _write_text(args.out + ".edges", emit_edge_list(dag))

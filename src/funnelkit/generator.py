@@ -85,6 +85,8 @@ class GenParams:
             raise ValueError("density must lie in [0, 1]")
         if self.s < 0:
             raise ValueError("noise arc count must be non-negative")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError("seed must lie in 0..2**64-1")
 
 
 def _planted_arcs(params: GenParams) -> tuple[list[Arc], list[Label]]:

@@ -278,6 +278,9 @@ def delete_arcs(dag: Dag, arcs: Iterable[Arc]) -> Dag:
 # below MAX_VERTICES and keep int() far from its digit limit.
 _HEADER = re.compile(r"p ([0-9]{1,9}) ([0-9]{1,9})\n")
 _ARC_LINES = re.compile(r"(?:[0-9]{1,9} [0-9]{1,9}\n)*")
+# The line loop's id rule: ASCII digits only, so int() never sees "1_0",
+# "+0" or non-ASCII digits.  The sign is let through for its own message.
+_ID = re.compile(r"-?[0-9]+")
 # Plain text is matched and split in blocks of about this many characters:
 # a match keeps a backtracking frame per line, which over the 202,256 lines
 # of a planted n=10^5 file would take 40 MB.
@@ -317,6 +320,13 @@ def _read_plain(text: str) -> Optional[tuple[int, list[int], list[int]]]:
     return (n, tails, heads) if n <= MAX_VERTICES and top < n and len(tails) == m else None
 
 
+def _int(text: str) -> int:
+    """``text`` as an int; ValueError unless it matches ``_ID``."""
+    if not _ID.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
     """The tables of any edge list, every rule checked line by line."""
     tails: list[int] = []
@@ -335,7 +345,7 @@ def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
             if len(fields) != 3:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'")
             try:
-                declared = (int(fields[1]), int(fields[2]))
+                declared = (_int(fields[1]), _int(fields[2]))
             except ValueError:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'") from None
             if not 0 <= declared[0] <= MAX_VERTICES:
@@ -345,7 +355,7 @@ def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
         if len(fields) != 2:
             raise MalformedLine(line_no, f"expected '<tail> <head>', got {line!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _int(fields[0]), _int(fields[1])
         except ValueError:
             raise MalformedLine(line_no, f"non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:

@@ -133,14 +133,49 @@ def test_csv_header_is_pinned():
     )
 
 
-def test_json_report_is_pinned():
-    report = analyze(D0, "d0", seed=3, gen=GenParams(n=5, p=0.1, s=2, seed=3))
-    assert json.dumps(report.to_json_dict(), sort_keys=True) == (
-        '{"approx_ratio": 1.0, "approx_size": 1, "exact_size": 1, '
-        '"gen": {"n": 5, "p": 0.1, "s": 2, "seed": 3}, "instance": "d0", '
-        '"is_funnel": false, "lower_bound": 1, "m": 4, "n": 5, '
-        '"schema": "funnelkit-report/1", "seed": 3, "timed_out": false}'
-    )
+# The keys each mode adds to the common ones, with their values on D0.
+_MODE_FIELDS = {
+    "all": {
+        "lower_bound": 1,
+        "approx_size": 1,
+        "exact_size": 1,
+        "timed_out": False,
+        "approx_ratio": 1.0,
+    },
+    "exact": {"exact_size": 1, "timed_out": False},
+    "approx": {"approx_size": 1},
+    "lower": {"lower_bound": 1},
+}
+_MODE_PHASES = {"all": {"lower", "approx", "exact"}}
+
+
+@pytest.mark.parametrize("mode", list(_MODE_FIELDS))
+@pytest.mark.parametrize("with_times", [False, True])
+def test_json_report_is_pinned(mode, with_times):
+    gen = GenParams(n=5, p=0.1, s=2, seed=3)
+    report = analyze(D0, "d0", mode=mode, seed=3, gen=gen)
+    data = report.to_json_dict(with_times=with_times)
+    if with_times:
+        times = data.pop("timings_ms")
+        assert set(times) == _MODE_PHASES.get(mode, {mode})
+        assert all(value == round(value, 3) for value in times.values())
+    assert data == {
+        "schema": "funnelkit-report/1",
+        "instance": "d0",
+        "n": 5,
+        "m": 4,
+        "is_funnel": False,
+        "seed": 3,
+        "gen": {"n": 5, "p": 0.1, "s": 2, "seed": 3},
+        **_MODE_FIELDS[mode],
+    }
+    if mode == "all" and not with_times:
+        assert json.dumps(data, sort_keys=True) == (
+            '{"approx_ratio": 1.0, "approx_size": 1, "exact_size": 1, '
+            '"gen": {"n": 5, "p": 0.1, "s": 2, "seed": 3}, "instance": "d0", '
+            '"is_funnel": false, "lower_bound": 1, "m": 4, "n": 5, '
+            '"schema": "funnelkit-report/1", "seed": 3, "timed_out": false}'
+        )
 
 
 def test_summarize_and_csv():

@@ -289,6 +289,13 @@ def test_generate_rejects_a_too_large_cnf_gadget(tmp_path, capsys):
     _assert_input_error(argv, capsys, tmp_path, "exceed")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_generate_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
+    # SplitMix64 would mask them onto the seeds 2**64 - 1 and 0.
+    argv = ["generate", "--n", "5", "--seed", seed, "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "seed must lie in 0..2**64-1")
+
+
 def test_generate_needs_some_source(capsys):
     assert main(["generate", "--out", "/tmp/never"]) == 2
     assert "--n or --cnf" in capsys.readouterr().err
@@ -442,7 +449,9 @@ def test_time_limit_must_be_finite_and_non_negative(d0_file, capsys, command, va
     assert len(errors) == 1 and "--time-limit-ms" in errors[0]
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-5", '"nan"'])
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", "-5", '"nan"', "true", '"7"']
+)
 def test_grid_time_limit_must_be_finite_and_non_negative(tmp_path, capsys, value):
     grid = tmp_path / "grid.json"
     grid.write_text('{"ns": [8], "replicates": 1, "time_limit_ms": %s}' % value)

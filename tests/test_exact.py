@@ -399,6 +399,14 @@ def test_oracles_agree_where_the_set_label_rule_fails():
     assert brute_force_addf(SET_LABEL_9).distance == 3
 
 
+@pytest.mark.xfail(
+    reason="the degree-counting Fork and Merge cases of Solver._rule_label "
+    "label a vertex without pricing its arcs to unlabeled neighbors",
+)
+def test_solver_finds_the_distance_where_the_set_label_rule_fails():
+    assert solve_addf(SET_LABEL_9).distance == 3
+
+
 def test_labeling_enumeration_caps_size():
     with pytest.raises(TooLarge):
         labeling_enumeration_addf(Dag(15))

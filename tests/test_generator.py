@@ -148,6 +148,10 @@ def test_gen_params_validation():
     GenParams(n=MAX_VERTICES, p=0.5, s=0, seed=1)
     with pytest.raises(ValueError, match="vertex count"):
         GenParams(n=MAX_VERTICES + 1, p=0.5, s=0, seed=1)
+    GenParams(n=5, p=0.5, s=0, seed=(1 << 64) - 1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            GenParams(n=5, p=0.5, s=0, seed=seed)
 
 
 # ---- noise arcs ----

@@ -1,5 +1,6 @@
 import heapq
 import io
+import re
 
 import pytest
 
@@ -152,6 +153,26 @@ def test_read_arc_list_errors_carry_line_numbers():
         read_arc_list("0 -1\n")
     with pytest.raises(MalformedLine):
         read_arc_list("0 1\np 2 1\n")  # header after arcs
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0 2\n", "non-integer vertex id"),
+        ("+0 1\n", "non-integer vertex id"),
+        ("\u0661 2\n", "non-integer vertex id"),  # ARABIC-INDIC DIGIT ONE
+        ("0 \uff11\n", "non-integer vertex id"),  # FULLWIDTH DIGIT ONE
+        ("p 1_0 0\n", "expected 'p <n> <m>'"),
+        ("p +2 0\n", "expected 'p <n> <m>'"),
+        ("p 2 \u0661\n0 1\n", "expected 'p <n> <m>'"),
+        ("0 -1\n", "vertex ids must be non-negative"),
+    ],
+)
+def test_vertex_ids_are_ascii_digits(text, message):
+    for source in (text, text.encode()):
+        for reader in (read_arc_list, parse_edge_list):
+            with pytest.raises(MalformedLine, match=re.escape(f"line 1: {message}")):
+                reader(source)
 
 
 def test_edge_list_round_trip():
