@@ -170,6 +170,11 @@ class GridSpec:
     time_limit_ms: float = 10_000.0
     seed: int = 1
 
+    def __post_init__(self):
+        # derive_seed masks to 64 bits, so a wider seed would alias another.
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"grid seed must lie in 0..2**64-1, got {self.seed}")
+
     @classmethod
     def large_scale(cls) -> "GridSpec":
         return cls(

@@ -178,11 +178,8 @@ def cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
         overrides["seed"] = args.seed
     if args.time_limit_ms is not None:
         overrides["time_limit_ms"] = args.time_limit_ms
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-
     try:
-        reports = run_grid(spec)
+        reports = run_grid(dataclasses.replace(spec, **overrides))
     except (ValueError, NotEnoughSlots) as exc:
         raise InputError(str(exc)) from exc
     csv_text = write_csv(reports, with_times=args.times)

@@ -20,7 +20,7 @@ from operator import ge
 from typing import AbstractSet, Optional, Sequence
 
 from .graph import MAX_VERTICES, Arc, Dag
-from .labeling import Label, Labeling
+from .labeling import Label, Labeling, ascii_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -239,7 +239,7 @@ class CnfFormula:
 
 def _dimacs_ints(tokens: list[str], line: str) -> list[int]:
     try:
-        return [int(tok) for tok in tokens]
+        return [ascii_int(tok) for tok in tokens]
     except ValueError:
         raise InvalidFormula(f"non-integer token in {line!r}") from None
 

@@ -27,7 +27,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
 from typing import IO, Iterable, Optional, Sequence, Union
 
-from .labeling import Labeling
+from .labeling import Labeling, ascii_int
 
 Arc = tuple[int, int]
 ArcSet = frozenset[Arc]
@@ -104,13 +104,9 @@ class Dag:
     as a per-arc check would.  ``arc_set``, and ``arcs`` of a Dag parsed
     from text, are built on their first read.
 
-    The topological order is Kahn's with ties broken toward the smallest
-    ready id.  Ids are scanned in increasing order; a vertex that becomes
-    ready after the scan passed it goes on a min-heap, and the heap is
-    drained before the scan moves on.  Everything on the heap is below the
-    scan position and every ready vertex not on it is above, so each step
-    takes the smallest ready id.  When every arc points to a higher id the
-    order is the identity, which one check of the tables returns.
+    The topological order is Kahn's, each step taking the smallest ready id
+    off one min-heap.  When every arc points to a higher id that order is
+    the identity, which one check of the tables returns.
     """
 
     __slots__ = (
@@ -174,21 +170,15 @@ class Dag:
         if all(map(lt, self.tails, heads)):
             return tuple(range(n))  # every arc points up: no id waits on a higher one
         indeg = list(map(sub, islice(in_off, 1, None), in_off))
+        ready = [v for v in range(n) if not indeg[v]]  # sorted, hence a heap
         order: list[int] = []
-        behind: list[int] = []  # min-heap of ready vertices the scan has passed
-        for s in range(n):
-            if indeg[s]:
-                continue
-            v = s
-            while True:
-                order.append(v)
-                for w in heads[out_off[v] : out_off[v + 1]]:
-                    indeg[w] -= 1
-                    if not indeg[w] and w < s:
-                        heapq.heappush(behind, w)
-                if not behind:
-                    break
-                v = heapq.heappop(behind)
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for w in heads[out_off[v] : out_off[v + 1]]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heapq.heappush(ready, w)
         if len(order) != n:
             raise CycleDetected("input digraph contains a directed cycle")
         return tuple(order)
@@ -278,9 +268,6 @@ def delete_arcs(dag: Dag, arcs: Iterable[Arc]) -> Dag:
 # below MAX_VERTICES and keep int() far from its digit limit.
 _HEADER = re.compile(r"p ([0-9]{1,9}) ([0-9]{1,9})\n")
 _ARC_LINES = re.compile(r"(?:[0-9]{1,9} [0-9]{1,9}\n)*")
-# The line loop's id rule: ASCII digits only, so int() never sees "1_0",
-# "+0" or non-ASCII digits.  The sign is let through for its own message.
-_ID = re.compile(r"-?[0-9]+")
 # Plain text is matched and split in blocks of about this many characters:
 # a match keeps a backtracking frame per line, which over the 202,256 lines
 # of a planted n=10^5 file would take 40 MB.
@@ -320,13 +307,6 @@ def _read_plain(text: str) -> Optional[tuple[int, list[int], list[int]]]:
     return (n, tails, heads) if n <= MAX_VERTICES and top < n and len(tails) == m else None
 
 
-def _int(text: str) -> int:
-    """``text`` as an int; ValueError unless it matches ``_ID``."""
-    if not _ID.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
 def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
     """The tables of any edge list, every rule checked line by line."""
     tails: list[int] = []
@@ -345,7 +325,7 @@ def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
             if len(fields) != 3:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'")
             try:
-                declared = (_int(fields[1]), _int(fields[2]))
+                declared = (ascii_int(fields[1]), ascii_int(fields[2]))
             except ValueError:
                 raise MalformedLine(line_no, "expected 'p <n> <m>'") from None
             if not 0 <= declared[0] <= MAX_VERTICES:
@@ -355,7 +335,7 @@ def _read_lines(source: str) -> tuple[int, list[int], list[int]]:
         if len(fields) != 2:
             raise MalformedLine(line_no, f"expected '<tail> <head>', got {line!r}")
         try:
-            u, v = _int(fields[0]), _int(fields[1])
+            u, v = ascii_int(fields[0]), ascii_int(fields[1])
         except ValueError:
             raise MalformedLine(line_no, f"non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:
@@ -428,54 +408,42 @@ def condense_scc(
     for lst in adj:
         lst.sort()
 
-    # Iterative Tarjan; components are emitted in reverse topological order.
-    next_index = 0
+    # Iterative Tarjan over frames (vertex, iterator over its out-neighbors).
+    # A vertex found but not yet closed into a component is on the stack.
+    # Components close in reverse topological order.
+    found = 0
     disc = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    closed = [-1] * n  # the closing count of each vertex's component
     stack: list[int] = []
-    emitted = [-1] * n
     n_comps = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        work: list[list[int]] = [[root, 0]]
+        work = [(root, iter(adj[root]))]
         while work:
-            frame = work[-1]
-            v, pi = frame
-            if pi == 0:
-                disc[v] = low[v] = next_index
-                next_index += 1
+            v, nbrs = work[-1]
+            if disc[v] == -1:
+                disc[v] = low[v] = found
+                found += 1
                 stack.append(v)
-                on_stack[v] = True
-            descended = False
-            nbrs = adj[v]
-            while pi < len(nbrs):
-                w = nbrs[pi]
-                pi += 1
+            for w in nbrs:
                 if disc[w] == -1:
-                    frame[1] = pi
-                    work.append([w, 0])
-                    descended = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
+                if closed[w] == -1:
                     low[v] = min(low[v], disc[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == disc[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    emitted[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == disc[v]:
+                    while closed[v] == -1:
+                        closed[stack.pop()] = n_comps
+                    n_comps += 1
 
-    comp = [n_comps - 1 - emitted[v] for v in range(n)]
+    comp = [n_comps - 1 - closed[v] for v in range(n)]
     condensed = {(comp[u], comp[v]) for u, v in arcs if comp[u] != comp[v]}
     return Dag(n_comps, condensed), comp
 

@@ -1,9 +1,22 @@
-"""Fork/Merge vertex labelings."""
+"""Fork/Merge vertex labelings, and the integer rule of every text format."""
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import Iterable, Iterator, Optional
+
+
+# ASCII digits only, so int() never sees "1_0", "+0" or non-ASCII digits.
+# The sign is let through, so that callers give negative ids their own message.
+_INT = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)`` for text matching ``-?[0-9]+``; ValueError otherwise."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 class PartialLabeling(Exception):
@@ -44,7 +57,7 @@ class Labeling:
             if len(parts) != 2:
                 raise ValueError(f"line {line_no}: expected '<vertex> <F|M>'")
             try:
-                vertex, label = int(parts[0]), Label(parts[1])
+                vertex, label = ascii_int(parts[0]), Label(parts[1])
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
             if not 0 <= vertex < vertex_count:

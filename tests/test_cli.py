@@ -332,6 +332,29 @@ def test_bench_seed_override_changes_rows(tmp_path, capsys):
     assert capsys.readouterr().out != base
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_bench_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
+    # derive_seed would mask them onto the seeds 2**64 - 1 and 0.
+    grid = tmp_path / "grid.json"
+    spec = {"ns": [8], "ps": [0.4], "ss": [1], "replicates": 1}
+    grid.write_text(json.dumps(spec))
+    assert "seed" in _bench_error(["--grid", str(grid), "--seed", str(seed)], capsys)
+    grid.write_text(json.dumps({**spec, "seed": seed}))
+    assert "seed" in _bench_error(["--grid", str(grid)], capsys)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_bench_accepts_the_extreme_seeds(tmp_path, capsys, seed):
+    grid = tmp_path / "grid.json"
+    spec = {"ns": [8], "ps": [0.4], "ss": [1], "replicates": 1}
+    grid.write_text(json.dumps(spec))
+    assert main(["bench", "--grid", str(grid), "--seed", str(seed)]) == 0
+    from_flag = capsys.readouterr().out
+    grid.write_text(json.dumps({**spec, "seed": seed}))
+    assert main(["bench", "--grid", str(grid)]) == 0
+    assert capsys.readouterr().out == from_flag
+
+
 def test_bench_unknown_grid_key(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text('{"sizes": [8]}')

@@ -482,6 +482,15 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 1\n1 1 2 0\n")  # repeated variable
     with pytest.raises(InvalidFormula):
         parse_dimacs("p cnf 3 1\n1 2 0\n")  # not three literals
+    # Integers are ASCII digits with an optional minus sign, as in edge lists.
+    for text in (
+        "p cnf 1_0 1\n1 2 3 0\n",
+        "p cnf 3 1\n+1 2 3 0\n",
+        "p cnf 3 1\n1 2 \uff13 0\n",  # a fullwidth 3
+        "p cnf 3 1\n1 2 \u0663 0\n",  # an Arabic-Indic 3
+    ):
+        with pytest.raises(InvalidFormula, match="non-integer token"):
+            parse_dimacs(text)
     # The gadget has 6 vertices per variable and 5 per clause, bounded
     # before reduce_3sat allocates; these formulas are never reduced.
     assert parse_dimacs("p cnf 1666666 0\n").num_vars == 1666666

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import io
 import re
@@ -6,6 +7,7 @@ import pytest
 
 from funnelkit import (
     ArcNotPresent,
+    CnfFormula,
     CycleDetected,
     Dag,
     DuplicateArc,
@@ -20,6 +22,7 @@ from funnelkit import (
     emit_edge_list,
     parse_edge_list,
     read_arc_list,
+    reduce_3sat,
     topological_order,
 )
 from funnelkit.graph import MAX_VERTICES
@@ -219,6 +222,49 @@ def test_condense_drops_self_loops_and_duplicates():
     assert dag.arcs == ((0, 1),)
 
 
+def _random_digraph(rng, n):
+    """Up to 3n random arcs on ``n`` vertices: cycles, self-loops, repeats."""
+    arcs = [(rng.below(n), rng.below(n)) for _ in range(rng.below(3 * n + 1))]
+    return arcs + arcs[: rng.below(3)]
+
+
+def test_condensation_is_pinned():
+    rng = SplitMix64(407)
+    digest = hashlib.sha256()
+    for i in range(500):
+        n = 1 + rng.below(40)
+        arcs = _random_digraph(rng, n)
+        # Odd rounds omit the count, so trailing isolated vertices drop out.
+        dag, comp = condense_scc(arcs, vertex_count=n if i % 2 == 0 else None)
+        digest.update(repr((comp, dag.vertex_count, dag.arcs)).encode())
+    assert digest.hexdigest() == (
+        "0bbb94343239f5a86c82df44a44888da7b4e3da576677937136c83481eb8e8f6"
+    )
+
+
+def test_condensation_classes_are_mutual_reachability():
+    rng = SplitMix64(1972)
+    for _ in range(300):
+        n = 1 + rng.below(9)
+        arcs = _random_digraph(rng, n)
+        reach = [{v} for v in range(n)]  # transitive closure, by fixpoint
+        changed = True
+        while changed:
+            changed = False
+            for u, v in arcs:
+                if not reach[v] <= reach[u]:
+                    reach[u] |= reach[v]
+                    changed = True
+        dag, comp = condense_scc(arcs, vertex_count=n)
+        for u in range(n):
+            for v in range(n):
+                assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v])
+        assert sorted(set(comp)) == list(range(dag.vertex_count))
+        between = {(comp[u], comp[v]) for u, v in arcs if comp[u] != comp[v]}
+        assert set(dag.arcs) == between
+        assert all(a < b for a, b in dag.arcs)
+
+
 def test_emit_dot():
     lab = Labeling.from_text("0 F\n1 M", 3)
     text = emit_dot(Dag(3, [(0, 1), (1, 2)]), highlight=[(1, 2)], labeling=lab)
@@ -249,16 +295,38 @@ def _reference_adjacency(n, arcs):
     return out, in_, tuple(order)
 
 
-def test_arc_id_tables_match_the_per_vertex_reference():
-    rng = SplitMix64(306)
-    for _ in range(300):
+def _shuffled_dags(rng, count):
+    """``(n, arcs)`` of random DAGs with shuffled ids, so that the
+    topological order is not the identity."""
+    for _ in range(count):
         n = 1 + rng.below(12)
-        # Shuffled ids, so that the topological order is not the identity.
         perm = list(range(n))
         for i in range(n - 1, 0, -1):
             j = rng.below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        arcs = [(perm[u], perm[v]) for u, v in random_dag(rng, n, 35).arcs]
+        yield n, [(perm[u], perm[v]) for u, v in random_dag(rng, n, 35).arcs]
+
+
+def _gadgets(rng, count):
+    """``(n, arcs)`` of 3-SAT reduction gadgets, whose port -> center arcs
+    point to lower ids."""
+    for _ in range(count):
+        num_vars = 3 + rng.below(6)
+        clauses = []
+        for _ in range(rng.below(6)):
+            chosen = []
+            while len(chosen) < 3:
+                var = 1 + rng.below(num_vars)
+                if var not in chosen:
+                    chosen.append(var)
+            clauses.append(tuple(v if rng.below(2) else -v for v in chosen))
+        dag = reduce_3sat(CnfFormula(num_vars, tuple(clauses)))[0]
+        yield dag.vertex_count, list(dag.arcs)
+
+
+def test_arc_id_tables_match_the_per_vertex_reference():
+    rng = SplitMix64(306)
+    for n, arcs in [*_shuffled_dags(rng, 300), *_gadgets(rng, 100)]:
         dag = Dag(n, arcs)
         out, in_, topo = _reference_adjacency(n, arcs)
         assert dag.topo_order == topo

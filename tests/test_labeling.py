@@ -55,7 +55,9 @@ def test_from_text_rejects_garbage():
         Labeling.from_text("0 F\n0 M", 2)
 
 
-@pytest.mark.parametrize("text", ["0 F\nx M", "0 F\n1 X"])
+@pytest.mark.parametrize(
+    "text", ["0 F\nx M", "0 F\n1 X", "0 F\n0_1 M", "0 F\n+1 M", "0 F\n\u0661 M"]
+)
 def test_from_text_names_the_line_of_a_bad_token(text):
     with pytest.raises(ValueError, match="^line 2: "):
         Labeling.from_text(text, 3)
