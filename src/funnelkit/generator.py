@@ -2,11 +2,14 @@
 
 All randomness comes from SplitMix64 seeded explicitly, never from the
 platform default generator, so any instance is reproducible bit-for-bit from
-its parameters on any machine or Python version.
+its parameters on any machine or Python version.  The generators draw in
+lane-parallel batches (``SplitMix64.below_each``), which give the same
+stream as one-at-a-time draws and handle rejections exactly.
 
 Cross arcs and noise arcs come from one sampler, ``_forward_pairs``: both
-draw forward pairs ``r < c`` from rows x cols minus the pairs already taken.
-One request draws at most ``MAX_VERTICES`` arcs, checked before its pool is
+draw forward pairs ``r < c`` from rows x cols minus the pairs already taken,
+as keys ``r * n + c``, and the Dag is built from the sorted keys.  One
+request draws at most ``MAX_VERTICES`` arcs, checked before its pool is
 built.  Noise is added only to DAGs whose arcs all run forward in the vertex
 order, the order every generated funnel has.
 """
@@ -14,16 +17,25 @@ order, the order every generated funnel has.
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import ge
+from itertools import repeat
+from operator import add, ge, mod, mul
 from typing import AbstractSet, Optional, Sequence
 
-from .graph import MAX_VERTICES, Arc, Dag
+from .graph import MAX_VERTICES, Arc, Dag, dag_from_keys
 from .labeling import Label, Labeling, ascii_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64.below_each hashes up to _LANES states at once, lane i of an int
+# holding bits 128i..128i+127: _ONES has 1 in every lane, _LOW the low 64
+# bits of every lane, and _GAMMAS the state step of lane i, (i + 1) * gamma.
+_LANES = 1024
+_ONES = sum(1 << (i << 7) for i in range(_LANES))
+_LOW = _ONES * _MASK64
+_GAMMAS = sum(((i + 1) * _GOLDEN & _MASK64) << (i << 7) for i in range(_LANES))
 
 
 class NotEnoughSlots(Exception):
@@ -63,6 +75,35 @@ class SplitMix64:
             if x < threshold:
                 return x % n
 
+    def below_each(self, spans: Sequence[int]) -> list[int]:
+        """``[self.below(m) for m in spans]``, leaving the same state.
+
+        Up to ``_LANES`` outputs are hashed at once, one per 128-bit lane of
+        one int, so each mixing step is one big-int operation; the mask
+        after each xor keeps a product from carrying into the next lane.  A
+        batch with an output that ``below`` might reject (one at least
+        ``2**64`` minus its largest span) is drawn again one value at a time.
+        """
+        if min(spans, default=1) <= 0:
+            raise ValueError("need a positive range")
+        out: list[int] = []
+        for start in range(0, len(spans), _LANES):
+            batch = spans[start : start + _LANES]
+            lanes = len(batch)
+            shift = (_LANES - lanes) << 7
+            low = _LOW >> shift
+            z = (self._state * (_ONES >> shift) + (_GAMMAS & low)) & low
+            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+            z ^= z >> 31
+            xs = struct.unpack("<" + "Q8x" * lanes, z.to_bytes(lanes << 4, "little"))
+            if max(xs) >= (1 << 64) - max(batch):
+                out += [self.below(m) for m in batch]
+            else:
+                self._state = (self._state + lanes * _GOLDEN) & _MASK64
+                out += map(mod, xs, batch)
+        return out
+
 
 def derive_seed(base: int, index: int) -> int:
     """Stable per-instance seed for suites driven by one base seed."""
@@ -89,27 +130,26 @@ class GenParams:
             raise ValueError("seed must lie in 0..2**64-1")
 
 
-def _planted_arcs(params: GenParams) -> tuple[list[Arc], list[Label]]:
-    """The arcs and labels of the planted funnel of ``params``."""
+def _planted_keys(params: GenParams) -> tuple[list[int], list[Label]]:
+    """Arc keys ``tail * n + head`` and labels of the planted funnel of ``params``."""
     rng = SplitMix64(params.seed)
     n = params.n
-    labels = [Label.FORK if rng.below(2) == 0 else Label.MERGE for _ in range(n)]
+    labels = list(map((Label.FORK, Label.MERGE).__getitem__, rng.below_each([2] * n)))
     forks = [v for v in range(n) if labels[v] is Label.FORK]
     merges = [v for v in range(n) if labels[v] is Label.MERGE]
 
-    arcs: list[Arc] = []
-    for i, v in enumerate(forks):
-        if i and (r := rng.below(i + 1)):
-            arcs.append((forks[r - 1], v))
-    for i, v in enumerate(reversed(merges)):
-        if i and (r := rng.below(i + 1)):
-            arcs.append((v, merges[len(merges) - r]))
+    # The i-th Fork (i > 0) draws r from range(i + 1) and, unless r is 0,
+    # hangs under Fork r - 1; the Merges mirror this from the last one down.
+    draws = rng.below_each(range(2, len(forks) + 1))
+    keys = [forks[r - 1] * n + v for v, r in zip(forks[1:], draws) if r]
+    draws = rng.below_each(range(2, len(merges) + 1))
+    keys += [v * n + merges[-r] for v, r in zip(reversed(merges[:-1]), draws) if r]
 
     # Cross arcs run Fork -> Merge and forward in the vertex order.
     possible = sum(bisect_left(forks, m) for m in merges)
     count = math.ceil(params.p * possible)
-    arcs += _forward_pairs(rng, n, forks, merges, possible, count)
-    return arcs, labels
+    keys += _forward_pairs(rng, n, forks, merges, possible, count)
+    return keys, labels
 
 
 def _forward_pairs(
@@ -119,16 +159,19 @@ def _forward_pairs(
     cols: Sequence[int],
     pairs: int,
     count: int,
-    taken: AbstractSet[Arc] = frozenset(),
-) -> list[Arc]:
-    """``count`` distinct pairs ``(r, c)``, ``r < c``, drawn uniformly from
-    ``rows`` x ``cols`` minus ``taken``.
+    taken: AbstractSet[int] = frozenset(),
+) -> list[int]:
+    """The keys ``r * n + c`` of ``count`` distinct pairs ``(r, c)``,
+    ``r < c``, drawn uniformly from ``rows`` x ``cols`` minus the keys in
+    ``taken``.
 
     ``rows`` and ``cols`` ascend in ``range(n)``, ``pairs`` counts their
-    pairs with ``r < c`` and ``taken`` holds only such pairs.  Dense requests
-    shuffle the ascending keys ``r * n + c`` (partial Fisher-Yates), which
-    order as the pairs do and take less memory than tuples; sparse ones draw
-    a row and a column until a free pair comes up.
+    pairs with ``r < c`` and ``taken`` holds only such keys, which order as
+    their pairs do.  Dense requests shuffle the ascending pool of keys
+    (partial Fisher-Yates); sparse ones draw a row and a column until a free
+    pair comes up.  Both draw in batches of at most ``_LANES``: a sparse
+    round of ``k`` pairs adds at most ``k`` keys, so it never draws past the
+    pair that completes the request.
     """
     slots = pairs - len(taken)
     if count > slots:
@@ -138,26 +181,26 @@ def _forward_pairs(
     if 2 * count >= slots:
         pool = [r * n + c for r in rows for c in cols[bisect_right(cols, r) :]]
         if taken:
-            gone = {u * n + v for u, v in taken}
-            pool = [key for key in pool if key not in gone]
-        for i in range(count):
-            j = i + rng.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        # Decoding through ``ids`` lets the arcs of a vertex share one int
-        # object instead of each making its own.
-        ids = list(range(n))
-        return [(ids[key // n], ids[key % n]) for key in pool[:count]]
-    picked: set[Arc] = set()
+            pool = [key for key in pool if key not in taken]
+        for start in range(0, count, _LANES):
+            stop = min(start + _LANES, count)
+            draws = rng.below_each(range(len(pool) - start, len(pool) - stop, -1))
+            for i, d in zip(range(start, stop), draws):
+                pool[i], pool[i + d] = pool[i + d], pool[i]
+        return pool[:count]
+    picked: set[int] = set()
     while len(picked) < count:
-        r = rows[rng.below(len(rows))]
-        c = cols[rng.below(len(cols))]
-        if r < c and (r, c) not in taken:
-            picked.add((r, c))
+        spans = [len(rows), len(cols)] * min(count - len(picked), _LANES)
+        draws = iter(rng.below_each(spans))
+        for i, j in zip(draws, draws):
+            r, c = rows[i], cols[j]
+            if r < c and (key := r * n + c) not in taken:
+                picked.add(key)
     return sorted(picked)
 
 
-def _noise(n: int, present: AbstractSet[Arc], s: int, seed: int) -> list[Arc]:
-    """``s`` forward pairs of ``range(n)`` absent from ``present``, uniformly."""
+def _noise(n: int, present: AbstractSet[int], s: int, seed: int) -> list[int]:
+    """Keys of ``s`` forward pairs of ``range(n)`` not in ``present``, uniformly."""
     ids = range(n)
     return _forward_pairs(SplitMix64(seed), n, ids, ids, n * (n - 1) // 2, s, present)
 
@@ -171,8 +214,8 @@ def generate_planted_funnel(params: GenParams) -> tuple[Dag, Labeling]:
     in-forest over the Merge vertices; then Fork-to-Merge forward arcs drawn
     uniformly without replacement up to ``ceil(p * possible)``.
     """
-    arcs, labels = _planted_arcs(params)
-    return Dag(params.n, arcs), Labeling(labels)
+    keys, labels = _planted_keys(params)
+    return dag_from_keys(params.n, keys), Labeling(labels)
 
 
 def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
@@ -188,8 +231,9 @@ def add_noise_arcs(dag: Dag, s: int, seed: int) -> Dag:
         raise ValueError(f"arc ({u}, {v}) does not run forward in the vertex order")
     if s == 0:
         return dag
-    noise = _noise(dag.vertex_count, dag.arc_set, s, seed)
-    return Dag(dag.vertex_count, list(dag.arcs) + noise)
+    n = dag.vertex_count
+    keys = list(map(add, map(mul, dag.tails, repeat(n)), dag.heads))
+    return dag_from_keys(n, keys + _noise(n, set(keys), s, seed))
 
 
 def planted_instance(params: GenParams) -> tuple[Dag, Optional[Labeling]]:
@@ -201,11 +245,11 @@ def planted_instance(params: GenParams) -> tuple[Dag, Optional[Labeling]]:
     1))`` but builds one ``Dag``, not two.  The planted labeling comes back
     only when there is no noise, since noise may leave it invalid.
     """
-    arcs, labels = _planted_arcs(params)
+    keys, labels = _planted_keys(params)
     if not params.s:
-        return Dag(params.n, arcs), Labeling(labels)
-    noise = _noise(params.n, set(arcs), params.s, derive_seed(params.seed, 1))
-    return Dag(params.n, arcs + noise), None
+        return dag_from_keys(params.n, keys), Labeling(labels)
+    noise = _noise(params.n, set(keys), params.s, derive_seed(params.seed, 1))
+    return dag_from_keys(params.n, keys + noise), None
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ Vertices are dense integer ids ``0..vertex_count-1``; an arc is a
 (simple, acyclic) and precomputes arc-id adjacency tables plus a topological
 order, after which it is immutable: every edit returns a new instance, so
 values can be shared freely across threads and processes.  Construction
-works on two tables, ``tails`` and ``heads``: ``Dag(n, arcs)`` sorts and
-unzips its arcs, and :func:`parse_edge_list` reads the tables straight from
-the text, building the arc tuples of ``dag.arcs`` only on first read.  Arcs
-already in order, as :func:`emit_edge_list` writes them, are not sorted
-again.
+works on two tables, ``tails`` and ``heads``: ``Dag(n, arcs)`` unzips its
+arcs, :func:`parse_edge_list` reads the tables straight from the text and
+:func:`dag_from_keys` sorts and decodes the keys ``tail * n + head``.
+Tables out of order are sorted by that key; arcs already in order, as
+:func:`emit_edge_list` writes them, are not sorted again.  The arc tuples
+of ``dag.arcs`` are built only on first read.
 
 Edge-list text format: one ``<tail> <head>`` pair per line, ``#`` comments and
 blank lines ignored, plus an optional leading header ``p <n> <m>`` declaring
@@ -101,8 +102,8 @@ class Dag:
     heads, a self-loop is ``tails[a] == heads[a]``, and duplicates are
     adjacent once the arcs are sorted.  Only when one of these fails is the
     input scanned in its given order, so that the error names the same arc
-    as a per-arc check would.  ``arc_set``, and ``arcs`` of a Dag parsed
-    from text, are built on their first read.
+    as a per-arc check would.  ``arcs`` and ``arc_set`` are built on their
+    first read.
 
     The topological order is Kahn's, each step taking the smallest ready id
     off one min-heap.  When every arc points to a higher id that order is
@@ -116,14 +117,12 @@ class Dag:
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
         given = list(map(tuple, arcs))  # arcs given as lists become tuples
-        ordered = sorted(given)
         self._build(
             vertex_count,
-            tuple(map(itemgetter(0), ordered)),
-            tuple(map(itemgetter(1), ordered)),
+            tuple(map(itemgetter(0), given)),
+            tuple(map(itemgetter(1), given)),
             given,
         )
-        self._arcs = tuple(ordered)
 
     def _build(
         self,
@@ -151,8 +150,7 @@ class Dag:
             keys = sorted(map(add, map(mul, tails, repeat(n)), heads))
             if any(map(eq, keys, islice(keys, 1, None))):
                 raise _first_fault(n, given)
-            tails = map(floordiv, keys, repeat(n))
-            heads = map(mod, keys, repeat(n))
+            tails, heads = _decode(n, keys)
         tails = self.tails = tuple(tails)
         heads = self.heads = tuple(heads)
         self._arcs: Optional[tuple[Arc, ...]] = None
@@ -371,7 +369,23 @@ def parse_edge_list(source: Union[str, bytes, IO]) -> Dag:
 
     Goes from text to the arc tables without building an arc tuple.
     """
-    n, tails, heads = _read_tables(source)
+    return _from_tables(*_read_tables(source))
+
+
+def dag_from_keys(n: int, keys: Iterable[int]) -> Dag:
+    """The Dag on ``n`` vertices whose arcs have the keys ``tail * n + head``."""
+    return _from_tables(n, *_decode(n, sorted(keys)))
+
+
+def _decode(n: int, keys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tails and heads of the keys ``tail * n + head``, decoded through
+    one list of the ids so that all arcs at a vertex share its int object."""
+    ids = list(range(n))
+    tails = tuple(map(ids.__getitem__, map(floordiv, keys, repeat(n))))
+    return tails, tuple(map(ids.__getitem__, map(mod, keys, repeat(n))))
+
+
+def _from_tables(n: int, tails: Sequence[int], heads: Sequence[int]) -> Dag:
     dag = Dag.__new__(Dag)
     dag._build(n, tails, heads, zip(tails, heads))
     return dag

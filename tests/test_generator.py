@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -29,7 +30,7 @@ from funnelkit import (
     solve_addf,
     verify_funnel_labeling,
 )
-from funnelkit.graph import MAX_VERTICES
+from funnelkit.graph import MAX_VERTICES, emit_edge_list
 
 # ---- the RNG ----
 
@@ -55,6 +56,37 @@ def test_below_is_in_range_and_covers():
         assert 0 <= x < 7
         seen.add(x)
     assert seen == set(range(7))
+
+
+def _spans(rng, length):
+    """Spans of up to 40 bits: a batch of them is almost never redrawn."""
+    return [1 + rng.below(1 << (1 + rng.below(40))) for _ in range(length)]
+
+
+@pytest.mark.parametrize("length", [0, 1, 1023, 1024, 1025, 3500])
+@pytest.mark.parametrize("kind", ["random", "2**63 + 1", "2**64 - 1", "mixed"])
+def test_below_each_draws_what_below_draws(length, kind):
+    spans = {
+        "random": _spans(SplitMix64(length), length),
+        # Every batch of these is redrawn one value at a time, and about
+        # half of the draws for 2**63 + 1 are rejected.
+        "2**63 + 1": [2**63 + 1] * length,
+        "2**64 - 1": [2**64 - 1] * length,
+        "mixed": [(2, 7, 2**63 + 1, 10**6)[i % 4] for i in range(length)],
+    }[kind]
+    for seed in (0, 99, 2**64 - 1):
+        bulk, one = SplitMix64(seed), SplitMix64(seed)
+        assert bulk.below_each(spans) == [one.below(m) for m in spans]
+        assert bulk._state == one._state
+        # Ranges work as spans, and the stream goes on where it left off.
+        assert bulk.below_each(range(1, 40)) == [one.below(m) for m in range(1, 40)]
+        assert bulk._state == one._state
+
+
+def test_below_each_needs_positive_spans():
+    for spans in ([0], [5, -1, 3]):
+        with pytest.raises(ValueError, match="positive range"):
+            SplitMix64(0).below_each(spans)
 
 
 def test_derive_seed_is_stable_and_spreads():
@@ -234,6 +266,57 @@ def test_noise_arcs_are_pinned(s):
     assert add_noise_arcs(base, s, seed=11).arcs == PINNED_NOISE[s]
 
 
+# SHA-256 of every generator output below, pinned before the draws were
+# batched and the sampler moved to arc keys.  The parameters reach every
+# branch: dense and sparse cross arcs, dense and sparse noise, forests only,
+# p = 1, n = 1 and n = 2 (where noise may find no free slot).
+PINNED_OUTPUT_PARAMS = [
+    (30, 0.9, 4),  # dense cross arcs, sparse noise
+    (30, 0.6, 200),  # dense noise
+    (60, 0.1, 5),  # sparse cross arcs, sparse noise
+    (25, 0.0, 3),  # forests only
+    (40, 1.0, 0),  # every cross arc, no noise
+    (150, 0.9, 5000),  # dense requests of more than one batch of draws
+    (1, 0.5, 0),
+    (2, 0.5, 1),
+]
+PINNED_OUTPUT_SHA256 = "b1e3337753d55a7a694cca69eee6184f0c4cb223c6334da1ab15a155c700a150"
+# The criterion-8 instance: n = 10^5 (seed 12) plus 2,000 noise arcs (seed 13).
+PINNED_LARGE_SHA256 = "f0800b6c6ff6c36e39494e9a78fe1136dad5f2ced8bd691f8f059a780db2a480"
+
+
+def _instance_text(dag, labeling):
+    labels = "-" if labeling is None else labeling.to_text()
+    return emit_edge_list(dag) + labels + "\n"
+
+
+def test_generator_output_is_pinned():
+    digest = hashlib.sha256()
+    for n, p, s in PINNED_OUTPUT_PARAMS:
+        for seed in range(4):
+            params = GenParams(n=n, p=p, s=s, seed=derive_seed(seed, n))
+            funnel, labeling = generate_planted_funnel(params)
+            digest.update(_instance_text(funnel, labeling).encode())
+            for make in (
+                lambda: _instance_text(*planted_instance(params)),
+                lambda: _instance_text(add_noise_arcs(funnel, s, seed), None),
+            ):
+                try:
+                    digest.update(make().encode())
+                except NotEnoughSlots as exc:
+                    digest.update(f"{exc}\n".encode())
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+def test_large_generator_output_is_pinned():
+    funnel, labeling = generate_planted_funnel(
+        GenParams(n=100_000, p=0.00008, s=0, seed=12)
+    )
+    text = _instance_text(funnel, labeling)
+    text += _instance_text(add_noise_arcs(funnel, 2000, seed=13), None)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LARGE_SHA256
+
+
 # ---- one recipe, one Dag ----
 
 
@@ -359,15 +442,17 @@ def _request_size(rng, slots):
 def test_forward_pairs_draws_what_the_old_samplers_drew():
     cases = SplitMix64(2024)
     sides = set()
-    for case in range(600):
-        n = 1 + cases.below(24)
+    for case in range(612):
+        # The last cases draw more than one batch of _LANES values.
+        n = 1 + cases.below(24) if case < 600 else 100 + cases.below(100)
         labels = [cases.below(2) for _ in range(n)]
         forks = [v for v in range(n) if labels[v] == 0]
         merges = [v for v in range(n) if labels[v] == 1]
         forward = sorted((f, m) for m in merges for f in forks if f < m)
         count = _request_size(cases, len(forward))
         old, new = SplitMix64(case), SplitMix64(case)
-        pairs = generator._forward_pairs(new, n, forks, merges, len(forward), count)
+        keys = generator._forward_pairs(new, n, forks, merges, len(forward), count)
+        pairs = [divmod(key, n) for key in keys]
         assert pairs == reference_cross_pairs(old, n, forks, merges, count)
         assert new._state == old._state
         if count == len(forward):
@@ -381,9 +466,10 @@ def test_forward_pairs_draws_what_the_old_samplers_drew():
         free = [pair for pair in everything if pair not in present]
         s = _request_size(cases, len(free))
         old, new = SplitMix64(~case), SplitMix64(~case)
-        pairs = generator._forward_pairs(
-            new, n, range(n), range(n), len(everything), s, present
+        keys = generator._forward_pairs(
+            new, n, range(n), range(n), len(everything), s, {u * n + v for u, v in present}
         )
+        pairs = [divmod(key, n) for key in keys]
         assert pairs == reference_noise_pairs(n, present, s, old)
         assert new._state == old._state
         if s == len(free):
@@ -393,7 +479,7 @@ def test_forward_pairs_draws_what_the_old_samplers_drew():
 
 
 def test_forward_pairs_reports_the_free_slots():
-    present = {(0, 1), (1, 2)}
+    present = {0 * 3 + 1, 1 * 3 + 2}  # the keys of (0, 1) and (1, 2)
     with pytest.raises(NotEnoughSlots, match="wanted 2 arcs, only 1 slots absent"):
         generator._forward_pairs(SplitMix64(0), 3, range(3), range(3), 3, 2, present)
 
