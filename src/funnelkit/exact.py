@@ -32,6 +32,8 @@ bound run past it.
 Nodes are pruned against the incumbent (the caller's ``incumbent=``, else
 the approximation) using a certificate packing: arc-disjoint obstructions
 each force one deletion, so their count lower-bounds the remaining work.
+The public :func:`lower_bound` adds vertex stars (``min(in, out) - 1``
+deletions each) ahead of its packing; the search's nodes pack alone.
 The live graph is a ``bytearray`` mask over the arc ids of the Dag's own
 tables; a packing works on copies of the mask and of the live degrees, so a
 vertex with too few free arcs is passed over without a scan.  A vertex short
@@ -59,19 +61,50 @@ from .labeling import Label, Labeling
 
 
 def lower_bound(dag: Dag) -> int:
-    """Greedy packing of arc-disjoint obstructions; never exceeds the distance.
+    """Vertex stars, then a greedy obstruction packing; never exceeds the distance.
 
-    Scans vertices in topological order; a vertex with two free in-arcs
-    searches forward for one with two free out-arcs (possibly itself), and a
-    hit consumes the two in-arcs, the connecting path and the two out-arcs.
-    Zero exactly on funnels.
+    A funnel vertex has in-degree at most 1 (Fork) or out-degree at most 1
+    (Merge), so a vertex v with ``need(v) = min(in(v), out(v))`` loses at
+    least ``need(v) - 1`` of its arcs.  Stars of vertices with ``need >= 3``,
+    largest first (ties by id) and skipping neighbors of a star already
+    taken, share no arc; each adds ``need - 1`` and takes its arcs away.
+    The packing then scans the arcs left in topological order: a vertex
+    with two free in-arcs searches forward for one with two free out-arcs
+    (possibly itself), and a hit consumes the two in-arcs, the connecting
+    path and the two out-arcs and adds one.  Zero exactly on funnels.
     """
-    return _pack(
-        dag,
-        bytearray(b"\x01") * dag.arc_count,
-        _degrees(dag.in_off),
-        _degrees(dag.out_off),
-    )
+    alive = bytearray(b"\x01") * dag.arc_count
+    live_in, live_out = _degrees(dag.in_off), _degrees(dag.out_off)
+    stars = _stars(dag, alive, live_in, live_out)
+    return stars + _pack(dag, alive, live_in, live_out)
+
+
+def _stars(dag: Dag, alive, live_in, live_out) -> int:
+    """Deletions forced by non-adjacent stars of ``need >= 3``; clears their
+    arcs from ``alive`` and the live degrees.  No neighbor of a star is
+    taken, so every candidate left keeps its starting degrees."""
+    tails, heads = dag.tails, dag.heads
+    centers = [
+        v for v in range(len(live_in)) if live_in[v] >= 3 and live_out[v] >= 3
+    ]
+    need = {v: min(live_in[v], live_out[v]) for v in centers}
+    centers.sort(key=need.__getitem__, reverse=True)  # stable: ties by id
+    blocked = bytearray(len(live_in))
+    count = 0
+    for v in centers:
+        if blocked[v]:
+            continue
+        count += need[v] - 1
+        for a in dag.in_arcs(v):
+            alive[a] = 0
+            live_out[tails[a]] -= 1
+            blocked[tails[a]] = 1
+        for a in dag.out_arcs(v):
+            alive[a] = 0
+            live_in[heads[a]] -= 1
+            blocked[heads[a]] = 1
+        live_in[v] = live_out[v] = 0
+    return count
 
 
 def _degrees(off) -> list[int]:

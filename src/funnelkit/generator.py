@@ -96,7 +96,11 @@ class SplitMix64:
             z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
             z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
             z ^= z >> 31
-            xs = struct.unpack("<" + "Q8x" * lanes, z.to_bytes(lanes << 4, "little"))
+            # Power-of-two widths (top lanes zero) bound struct's format cache.
+            width = 1 << (lanes - 1).bit_length()
+            xs = struct.unpack(
+                "<" + "Q8x" * width, z.to_bytes(width << 4, "little")
+            )[:lanes]
             if max(xs) >= (1 << 64) - max(batch):
                 out += [self.below(m) for m in batch]
             else:

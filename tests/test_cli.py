@@ -436,9 +436,10 @@ def test_bench_bounds_the_arcs_a_row_draws(tmp_path, capsys):
 
 
 def test_bench_time_limit_overrides_the_grid_file(tmp_path, capsys):
-    # Row r1 needs a search below the root, which a zero limit cuts off.
+    # Row r1's bound (3) is below its approximation (4), so it needs a
+    # search below the root, which a zero limit cuts off.
     grid = tmp_path / "grid.json"
-    grid.write_text('{"ns": [20], "ps": [0.4], "ss": [6], "replicates": 3, "seed": 3}')
+    grid.write_text('{"ns": [20], "ps": [0.4], "ss": [6], "replicates": 3, "seed": 6}')
     assert main(["bench", "--grid", str(grid)]) == 0
     assert "instances=3 solved=3" in capsys.readouterr().out
     assert main(["bench", "--grid", str(grid), "--time-limit-ms", "0"]) == 0

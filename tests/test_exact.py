@@ -12,6 +12,7 @@ from funnelkit import (
     SplitMix64,
     TooLarge,
     add_noise_arcs,
+    approximate_addf,
     brute_force_addf,
     delete_arcs,
     derive_seed,
@@ -36,6 +37,16 @@ from samples import (
     obstruction,
     random_dag,
 )
+
+
+def _hard_cell() -> Dag:
+    """The first ROADMAP large-grid cell: n=250, p=0.15, s=125, base seed 1."""
+    params = GenParams(n=250, p=0.15, s=125, seed=derive_seed(1, 0))
+    funnel, _ = generate_planted_funnel(params)
+    return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
+
+
+HARD_CELL = _hard_cell()
 
 
 def check_result(dag, result):
@@ -145,26 +156,33 @@ def reference_bound(dag, alive=None) -> int:
     )
 
 
-def test_lower_bound_equals_reference_packing_on_random_dags():
+def full_pack(dag) -> int:
+    """The solver's packing over every arc of ``dag``, without the stars."""
+    return _pack(
+        dag,
+        bytearray(b"\x01") * dag.arc_count,
+        [dag.in_degree(v) for v in dag.vertices()],
+        [dag.out_degree(v) for v in dag.vertices()],
+    )
+
+
+def test_packing_equals_reference_packing_on_random_dags():
     rng = SplitMix64(2024)
     for _ in range(200):
         dag = random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
-        assert lower_bound(dag) == reference_bound(dag)
+        assert full_pack(dag) == reference_bound(dag)
 
 
-def test_lower_bound_equals_reference_packing_on_a_hard_cell():
-    params = GenParams(n=250, p=0.15, s=125, seed=derive_seed(1, 0))
-    funnel, _ = generate_planted_funnel(params)
-    dag = add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
-    assert lower_bound(dag) == reference_bound(dag) == 66
+def test_packing_equals_reference_packing_on_a_hard_cell():
+    assert full_pack(HARD_CELL) == reference_bound(HARD_CELL) == 66
 
 
 def test_solver_bound_on_random_live_masks():
-    # The solver's bound on a partly deleted graph equals the public bound on
-    # the graph without those arcs, the reference packing on the live arcs,
-    # and never exceeds the true remaining distance.  random_dag's arcs all
-    # run forward, so deleting some keeps the identity topological order and
-    # both packings scan the vertices alike.
+    # The solver's bound on a partly deleted graph equals the packing over
+    # all arcs of the graph without those arcs, the reference packing on the
+    # live arcs, and never exceeds the true remaining distance.  random_dag's
+    # arcs all run forward, so deleting some keeps the identity topological
+    # order and the packings scan the vertices alike.
     rng = SplitMix64(77)
     for _ in range(150):
         dag = random_dag(rng, 3 + rng.below(6), 30 + rng.below(40))
@@ -176,9 +194,69 @@ def test_solver_bound_on_random_live_masks():
         live_in = [rest.in_degree(v) for v in dag.vertices()]
         live_out = [rest.out_degree(v) for v in dag.vertices()]
         bound = _pack(dag, alive, live_in, live_out)
-        assert bound == lower_bound(rest)
+        assert bound == full_pack(rest)
         assert bound == reference_bound(dag, set(rest.arcs))
         assert bound <= brute_force_addf(rest).distance
+
+
+# ---- vertex stars ahead of the packing ----
+
+
+def reference_stars(dag) -> tuple[int, set]:
+    """Stars over arc tuples: the deletions they force and the arcs left.
+
+    A vertex v with ``need = min(in(v), out(v)) >= 3`` whose neighbors are
+    not star centers becomes one, largest ``need`` first and ties by id.
+    """
+    need = {v: min(dag.in_degree(v), dag.out_degree(v)) for v in dag.vertices()}
+    free = set(dag.arcs)
+    centers: set[int] = set()
+    count = 0
+    for v in sorted(dag.vertices(), key=lambda v: (-need[v], v)):
+        neighbors = set(dag.in_neighbors(v)) | set(dag.out_neighbors(v))
+        if need[v] < 3 or neighbors & centers:
+            continue
+        centers.add(v)
+        count += need[v] - 1
+        free -= {(u, v) for u in dag.in_neighbors(v)}
+        free -= {(v, w) for w in dag.out_neighbors(v)}
+    return count, free
+
+
+def reference_lower_bound(dag) -> int:
+    count, free = reference_stars(dag)
+    return count + reference_bound(dag, free)
+
+
+def test_lower_bound_equals_reference_stars_and_packing_on_shuffled_dags():
+    rng = SplitMix64(2024)
+    fired = 0
+    for _ in range(200):
+        dag = _shuffled_random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
+        assert lower_bound(dag) == reference_lower_bound(dag)
+        fired += reference_stars(dag)[0] > 0
+    assert fired == 101  # draws on which at least one star is taken
+
+
+def test_lower_bound_on_a_hard_cell():
+    # Stars lift the root bound from the packing's 66 toward the
+    # approximation's 81.
+    assert lower_bound(HARD_CELL) == reference_lower_bound(HARD_CELL) == 75
+    assert approximate_addf(HARD_CELL).size == 81
+
+
+def test_lower_bound_never_exceeds_the_distance_of_dense_dags():
+    # Dense enough that most draws take a star, small enough for the
+    # labeling oracle; a star that counted need(v) deletions instead of
+    # need(v) - 1 fails here.
+    rng = SplitMix64(909)
+    fired = 0
+    for _ in range(60):
+        dag = _shuffled_random_dag(rng, 8 + rng.below(6), 50 + rng.below(30))
+        lo = lower_bound(dag)
+        assert lo <= labeling_enumeration_addf(dag)
+        fired += reference_stars(dag)[0] > 0
+    assert fired >= 40
 
 
 # ---- branch and bound vs brute force ----
