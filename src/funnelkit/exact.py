@@ -2,15 +2,18 @@
 
 The search assigns Fork/Merge labels and deletes arcs until the remaining
 graph is a funnel with a matching labeling.  Two reduction rules run to a
-fixpoint at every node:
+fixpoint at every node, over a queue with one queued flag per vertex in a
+``bytearray``; a vertex is queued again when it gets a label or loses an arc:
 
-* set-label: a vertex whose label is forced by its live degrees and already
-  labeled neighbors gets that label (sources are Fork, sinks are Merge, a
-  lone Fork in-neighbor passes Fork down, and degree counting settles the
-  rest);
+* set-label, read off the live degrees: a vertex whose label is forced by
+  them and its labeled neighbors gets that label (sources are Fork, sinks
+  are Merge, a lone Fork in-neighbor passes Fork down, and degree counting
+  settles the rest);
 * satisfy-label: the live arcs :func:`~funnelkit.analysis.doomed_arcs` finds
   are deleted -- every Merge-to-Fork arc, all but one in-arc of a Fork vertex
   with a Fork in-neighbor (smallest id kept), and symmetrically for Merge.
+  It passes over a vertex whose constrained side has no live arc, or one
+  whose far end lacks the opposite label: the rule dooms nothing there.
 
 When no rule fires the solver branches on the label of the first unlabeled
 vertex in topological order; it is the only branching rule.  All of that
@@ -35,14 +38,16 @@ each force one deletion, so their count lower-bounds the remaining work.
 The public :func:`lower_bound` adds vertex stars (``min(in, out) - 1``
 deletions each) ahead of its packing; the search's nodes pack alone.
 The live graph is a ``bytearray`` mask over the arc ids of the Dag's own
-tables; a packing works on copies of the mask and of the live degrees, so a
-vertex with too few free arcs is passed over without a scan.  A vertex short
-of a fork has at most one free out-arc, so the forward search from a vertex
-is a walk.  When a walk fails, every vertex on it has at most one free
-out-arc, leading on along the walk to a dead end.  Free arcs only disappear
-during a packing, so none of those vertices can ever reach a fork again: the
-packing marks them dead and later walks stop at them.  That keeps the count
-of a plain search and makes failing walks linear work in total.
+tables; a packing works on copies of the mask and of the live degrees.  A
+vertex short of a fork has at most one free out-arc, so the forward search
+is a walk, and ``bytearray.find`` over a vertex's contiguous out-arc ids
+gives a walk's next arc and a fork's first two.  A hit retires the path,
+the fork's two out-arcs and the start's first two free in-arcs directly,
+with their degree updates.  When a walk fails, every vertex on it has at
+most one free out-arc, leading on to a dead end; free arcs only disappear
+during a packing, so none of them can ever reach a fork again.  The packing
+sets their free out-degree to 0, so later walks stop and fail at them: the
+count is that of a plain search and failing walks are linear work in total.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice
 from operator import sub
 from typing import Callable, Optional
 
@@ -120,39 +125,46 @@ def _pack(dag: Dag, alive, live_in, live_out) -> int:
     graph and the mask.
     """
     tails, heads, out_off = dag.tails, dag.heads, dag.out_off
+    in_off, in_ids = dag.in_off, dag.in_ids
     free = bytearray(alive)
+    find = free.find
     free_in = list(live_in)
-    free_out = list(live_out)
-    dead = bytearray(len(free_in))  # vertices that can never reach a fork
+    free_out = list(live_out)  # 0 at a dead vertex: it can never reach a fork
     count = 0
     for v in dag.topo_order:
-        while free_in[v] >= 2 and not dead[v]:
+        while free_in[v] >= 2 and free_out[v] > 0:
             # Short of a fork a vertex has at most one free out-arc, so the
             # forward search is a walk along a single path.
-            x, used = v, []
-            while free_out[x] == 1 and not dead[x]:
-                for a in range(out_off[x], out_off[x + 1]):
-                    if free[a]:
-                        break
-                used.append(a)
+            x, path = v, []
+            while free_out[x] == 1:
+                a = find(1, out_off[x])
+                path.append(a)
                 x = heads[a]
             if free_out[x] < 2:
-                dead[v] = 1
-                for a in used:
-                    dead[heads[a]] = 1
+                free_out[v] = 0
+                for a in path:
+                    free_out[heads[a]] = 0
                 break
-            for ids in (dag.in_arcs(v), dag.out_arcs(x)):
-                end = len(used) + 2
-                for a in ids:
-                    if free[a]:
-                        used.append(a)
-                        if len(used) == end:
-                            break
-            for a in used:
-                free[a] = 0
-                free_out[tails[a]] -= 1
-                free_in[heads[a]] -= 1
             count += 1
+            for a in path:
+                free[a] = 0
+                free_out[tails[a]] = 0
+                free_in[heads[a]] -= 1
+            a = find(1, out_off[x])
+            b = find(1, a + 1)
+            free[a] = free[b] = 0
+            free_out[x] -= 2
+            free_in[heads[a]] -= 1
+            free_in[heads[b]] -= 1
+            free_in[v] -= 2
+            taken = 0
+            for a in in_ids[in_off[v] : in_off[v + 1]]:
+                if free[a]:
+                    free[a] = 0
+                    free_out[tails[a]] -= 1
+                    taken += 1
+                    if taken == 2:
+                        break
     return count
 
 
@@ -216,21 +228,6 @@ class Solver:
 
     # ---- bookkeeping ----
 
-    def _say(self, line: str) -> None:
-        if self._trace is not None:
-            self._trace(line)
-
-    def _set_label(self, v: int, lab: Label) -> None:
-        self._labels[v] = lab
-        self._trail.append(~v)
-
-    def _delete_arc(self, a: int) -> None:
-        self._alive[a] = 0
-        self._live_out[self.dag.tails[a]] -= 1
-        self._live_in[self.dag.heads[a]] -= 1
-        self._deleted += 1
-        self._trail.append(a)
-
     def _undo_to(self, mark: int) -> None:
         while len(self._trail) > mark:
             a = self._trail.pop()
@@ -242,69 +239,80 @@ class Solver:
                 self._live_in[self.dag.heads[a]] += 1
                 self._deleted -= 1
 
-    def _live_in_neighbors(self, v: int) -> list[int]:
-        tails, alive = self.dag.tails, self._alive
-        return [tails[a] for a in self.dag.in_arcs(v) if alive[a]]
-
-    def _live_out_neighbors(self, v: int) -> list[int]:
-        heads, alive = self.dag.heads, self._alive
-        return [heads[a] for a in self.dag.out_arcs(v) if alive[a]]
-
     # ---- reduction rules ----
 
-    def _rule_label(self, v: int) -> Optional[Label]:
-        """Forced label for v, or ``None``.  Fork conditions try first."""
-        ind, outd = self._live_in[v], self._live_out[v]
-        labels = self._labels
-        if ind == 0:
-            return Label.FORK
-        if ind == 1:
-            (u,) = self._live_in_neighbors(v)
-            if labels[u] is Label.FORK:
-                return Label.FORK
-            if outd > 1 and all(
-                labels[w] is not None for w in self._live_out_neighbors(v)
-            ):
-                return Label.FORK
-        if outd == 0:
-            return Label.MERGE
-        if outd == 1:
-            (w,) = self._live_out_neighbors(v)
-            if labels[w] is Label.MERGE:
-                return Label.MERGE
-            if ind > 1 and all(
-                labels[u] is not None for u in self._live_in_neighbors(v)
-            ):
-                return Label.MERGE
-        return None
+    def _reduce(self, v: Optional[int]) -> None:
+        """Run both rules to a joint fixpoint, from every vertex at the root
+        (``v`` None), else from the vertex ``v`` just labeled."""
+        dag, labels, alive, trail = self.dag, self._labels, self._alive, self._trail
+        stats, trace = self.stats, self._trace
+        live_in, live_out = self._live_in, self._live_out
+        tails, heads, out_off, find = dag.tails, dag.heads, dag.out_off, alive.find
+        in_off, in_ids, in_tails = dag.in_off, dag.in_ids, dag.in_tails
+        fork, merge = Label.FORK, Label.MERGE
 
-    def _reduce(self, seeds) -> None:
-        """Run both rules to a joint fixpoint, starting from ``seeds``."""
-        pending = deque(seeds)
-        queued = set(pending)
+        def ins(v):  # live in-neighbors, in tail order
+            lo, hi = in_off[v], in_off[v + 1]
+            return compress(in_tails[lo:hi], map(alive.__getitem__, in_ids[lo:hi]))
+
+        def outs(v):  # live out-neighbors, in head order
+            lo, hi = out_off[v], out_off[v + 1]
+            return compress(heads[lo:hi], alive[lo:hi])
+
+        def wake(xs):
+            for x in xs:
+                if not queued[x]:
+                    queued[x] = 1
+                    pending.append(x)
+
+        pending, queued = deque(), bytearray(dag.vertex_count)
+        wake(dag.vertices() if v is None else chain((v,), ins(v), outs(v)))
         while pending:
             v = pending.popleft()
-            queued.discard(v)
-            if self._labels[v] is None:
-                lab = self._rule_label(v)
-                if lab is None:
+            queued[v] = 0
+            lab = labels[v]
+            # Labeled: the keep-side guard of the module docstring first.
+            if lab is fork:
+                d = live_in[v]
+                if d == 0 or d == 1 and labels[next(ins(v))] is not merge:
                     continue
-                self._set_label(v, lab)
-                self.stats.rr1 += 1
-                self._say(f"rr1 {v} {lab.value}")
-                woken = [v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)]
+            elif lab is merge:
+                d = live_out[v]
+                if d == 0 or d == 1 and labels[heads[find(1, out_off[v])]] is not fork:
+                    continue
             else:
-                woken = []
-                for a in doomed_arcs(self.dag, v, self._labels, self._alive):
-                    u, w = self.dag.arcs[a]
-                    self._delete_arc(a)
-                    self.stats.rr2 += 1
-                    self._say(f"rr2 {u}->{w}")
-                    woken += (u, w)
-            for x in woken:
-                if x not in queued:
-                    queued.add(x)
-                    pending.append(x)
+                # Unlabeled: the set-label rule, Fork cases first.
+                ind, outd = live_in[v], live_out[v]
+                if ind == 0 or ind == 1 and (
+                    labels[next(ins(v))] is fork
+                    or outd > 1 and None not in map(labels.__getitem__, outs(v))
+                ):
+                    lab = fork
+                elif outd == 0 or outd == 1 and (
+                    labels[next(outs(v))] is merge
+                    or ind > 1 and None not in map(labels.__getitem__, ins(v))
+                ):
+                    lab = merge
+                else:
+                    continue
+                labels[v] = lab
+                trail.append(~v)
+                stats.rr1 += 1
+                if trace is not None:
+                    trace(f"rr1 {v} {lab.value}")
+                wake(chain((v,), ins(v), outs(v)))
+                continue
+            for a in doomed_arcs(dag, v, labels, alive):
+                u, w = tails[a], heads[a]
+                alive[a] = 0
+                live_out[u] -= 1
+                live_in[w] -= 1
+                trail.append(a)
+                self._deleted += 1
+                stats.rr2 += 1
+                if trace is not None:
+                    trace(f"rr2 {u}->{w}")
+                wake((u, w))
 
     # ---- search ----
 
@@ -318,44 +326,49 @@ class Solver:
             if doomed_arcs(self.dag, v, self._labels, self._alive):
                 raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
-    def _node(self, seeds) -> Optional[int]:
-        """Reduce, then prune or record a leaf; the vertex to branch on, or None."""
-        self.stats.nodes += 1
-        self._reduce(seeds)
+    def _node(self, v: Optional[int]) -> Optional[int]:
+        """Reduce from the vertex ``v`` just labeled (None at the root), then
+        prune or record a leaf; the vertex to branch on, or None."""
+        stats, trace = self.stats, self._trace
+        stats.nodes += 1
+        self._reduce(v)
         size = self._deleted
         if size >= self._cutoff:
-            self.stats.pruned += 1
-            self._say(f"prune {size}")
+            stats.pruned += 1
+            if trace is not None:
+                trace(f"prune {size}")
             return None
         bound = _pack(self.dag, self._alive, self._live_in, self._live_out)
         if size + bound >= self._cutoff:
-            self.stats.pruned += 1
-            self._say(f"prune {size}+{bound}")
+            stats.pruned += 1
+            if trace is not None:
+                trace(f"prune {size}+{bound}")
             return None
         labels = self._labels
         v = next((v for v in self.dag.topo_order if labels[v] is None), None)
         if v is None:
-            self.stats.leaves += 1
+            stats.leaves += 1
             self._check_leaf()
-            self._say(f"leaf {size}")
             # Past both prunes, so the leaf beats the incumbent.
             arcs = self.dag.arcs
             self._best_set = frozenset(arcs[a] for a in self._trail if a >= 0)
             self._best_labels = Labeling(labels)
             self._cutoff = size
-            self._say(f"best {size}")
+            if trace is not None:
+                trace(f"leaf {size}")
+                trace(f"best {size}")
             return None
         # Past the deadline a node still reduces and prunes, so a search
         # whose gap is already closed does not report a timeout.
         if self._deadline is not None and time.monotonic() > self._deadline:
-            self.stats.timed_out = True
+            stats.timed_out = True
             return None
         return v
 
     def run(self) -> ExactResult:
         """Depth-first search from a stack of (trail mark, vertex, label)."""
         stack: list[tuple[int, int, Label]] = []
-        v = self._node(self.dag.vertices())
+        v = self._node(None)
         while True:
             if v is not None:
                 mark = len(self._trail)
@@ -364,12 +377,12 @@ class Solver:
                 break
             mark, v, lab = stack.pop()
             self._undo_to(mark)
-            self._set_label(v, lab)
+            self._labels[v] = lab
+            self._trail.append(~v)
             self.stats.br1 += 1
-            self._say(f"br1 {v} {lab.value}")
-            v = self._node(
-                [v, *self._live_in_neighbors(v), *self._live_out_neighbors(v)]
-            )
+            if self._trace is not None:
+                self._trace(f"br1 {v} {lab.value}")
+            v = self._node(v)
         return ExactResult(
             distance=len(self._best_set),
             deletion_set=self._best_set,

@@ -125,6 +125,56 @@ def test_mutated_edge_lists_never_raise(tmp_path, capsys):
             assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1)
 
 
+
+def _answers_or_one_error_line(code, err) -> bool:
+    return code == 0 or code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+# Values that make a grid key invalid or keep the grid tiny, whatever the key.
+_GRID_VALUES = [None, True, "8", [], {}, -1, 0, 2, 2.5, float("inf"), float("nan"),
+                [-1], [0], [2], [8], [1.0], [1.5], [99999999999], [[8]]]
+
+
+def test_mutated_grid_files_never_raise(tmp_path, capsys):
+    # A tiny grid (n <= 8, one replicate, 20 ms per search): even rounds
+    # edit its bytes, odd rounds set one or two keys to a _GRID_VALUES
+    # entry.  Every run writes its CSV or names one input error.  Byte edits
+    # could make a valid but huge grid, so an accepted grid is checked to be
+    # tiny before it runs.
+    base = {"ns": [6, 8], "ps": [0.4], "ss": [0, 2], "replicates": 1, "seed": 3,
+            "time_limit_ms": 20}
+    keys = sorted(base)
+    rng = SplitMix64(91)
+    path = tmp_path / "fuzz.json"
+    for i in range(200):
+        if i % 2:
+            spec = dict(base)
+            for _ in range(1 + rng.below(2)):
+                spec[keys[rng.below(len(keys))]] = _GRID_VALUES[rng.below(len(_GRID_VALUES))]
+            path.write_text(json.dumps(spec))
+        else:
+            path.write_bytes(mutate(rng, json.dumps(base).encode()))
+        try:
+            grid = GridSpec.from_file(str(path))
+        except (ValueError, KeyError, TypeError):
+            pass
+        else:
+            size = len(grid.ns) * len(grid.ps) * len(grid.ss) * grid.replicates
+            assert size <= 8 and max(grid.ns) <= 99 and grid.time_limit_ms <= 50
+        code = main(["bench", "--grid", str(path)])
+        assert _answers_or_one_error_line(code, capsys.readouterr().err)
+
+
+def test_mutated_cnf_files_never_raise(tmp_path, capsys):
+    cnf = b"c tiny\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+    rng = SplitMix64(92)
+    path = tmp_path / "fuzz.cnf"
+    for _ in range(300):
+        path.write_bytes(mutate(rng, cnf))
+        code = main(["generate", "--cnf", str(path), "--out", str(tmp_path / "inst")])
+        assert _answers_or_one_error_line(code, capsys.readouterr().err)
+
+
 # ---- distance ----
 
 

@@ -24,7 +24,10 @@ from funnelkit import (
     solve_addf,
     verify_funnel_labeling,
 )
+from funnelkit import exact
+from funnelkit.analysis import doomed_arcs
 from funnelkit.exact import _pack
+from funnelkit.labeling import Label
 from samples import (
     D0,
     D1,
@@ -39,14 +42,15 @@ from samples import (
 )
 
 
-def _hard_cell() -> Dag:
-    """The first ROADMAP large-grid cell: n=250, p=0.15, s=125, base seed 1."""
-    params = GenParams(n=250, p=0.15, s=125, seed=derive_seed(1, 0))
+def _hard_cell(p: float) -> Dag:
+    """A ROADMAP large-grid cell: n=250, density p, s=125, base seed 1."""
+    params = GenParams(n=250, p=p, s=125, seed=derive_seed(1, 0))
     funnel, _ = generate_planted_funnel(params)
     return add_noise_arcs(funnel, params.s, derive_seed(params.seed, 1))
 
 
-HARD_CELL = _hard_cell()
+HARD_CELL = _hard_cell(0.15)  # m = 1,551
+DENSE_CELL = _hard_cell(0.85)  # m = 7,088
 
 
 def check_result(dag, result):
@@ -408,6 +412,108 @@ def test_golden_search_statistics(row, distance, counters):
     ) == counters
 
 
+class _Budget:
+    """Trace hook that keeps the lines and stops the search, with
+    :class:`_Stop`, where node ``budget + 1`` would start."""
+
+    def __init__(self, budget):
+        self.budget, self.nodes, self.lines = budget, 1, []
+
+    def __call__(self, line):
+        if line.startswith("br1 "):
+            if self.nodes == self.budget:
+                raise _Stop
+            self.nodes += 1
+        self.lines.append(line)
+
+
+@pytest.mark.parametrize(
+    "dag, budget, counters, digest",
+    [
+        # (nodes, rr1, rr2, br1, pruned, leaves, incumbent), pinned before
+        # the packing and the reduction were rewritten.
+        (HARD_CELL, 400, (400, 377, 1936, 399, 190, 0, 81),
+         "45dca30dae023a2ae9c3a3f514397a61a6586c1b158486b42f3095d21bf4f659"),
+        (DENSE_CELL, 200, (200, 424, 3179, 199, 96, 0, 117),
+         "579eecaac879acb2da45b1d5826dcc3b13222c1df20aec2b09997922e18990b3"),
+    ],
+    ids=["sparse", "dense"],
+)
+def test_golden_budgeted_searches_on_large_cells(dag, budget, counters, digest):
+    # The first nodes of two n=250 cells: long and dense walks in the
+    # packing, and keep-rule calls at live degree 2 and more, which the
+    # small golden searches do not reach.
+    hook = _Budget(budget)
+    with pytest.raises(_Stop):
+        Solver(dag, trace=hook).run()
+    kinds = [line.split(" ", 1)[0] for line in hook.lines]
+    best = [int(line.split()[1]) for line in hook.lines if line.startswith("best ")]
+    incumbent = best[-1] if best else approximate_addf(dag).size
+    assert (
+        hook.nodes, *map(kinds.count, ("rr1", "rr2", "br1", "prune", "leaf")), incumbent
+    ) == counters
+    text = "\n".join(hook.lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
+    # The masks and live degrees that the solver hands to the packing at the
+    # first 50 nodes of the dense cell, partly deleted by the reductions.
+    seen = []
+
+    def record(dag, alive, live_in, live_out):
+        seen.append((bytes(alive), list(live_in), list(live_out)))
+        return _pack(dag, alive, live_in, live_out)
+
+    monkeypatch.setattr(exact, "_pack", record)
+    with pytest.raises(_Stop):
+        Solver(DENSE_CELL, trace=_Budget(50)).run()
+    assert len(seen) >= 25
+    dag = DENSE_CELL
+    for alive, live_in, live_out in seen:
+        live = {dag.arcs[a] for a in range(dag.arc_count) if alive[a]}
+        assert live_in == [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
+        assert live_out == [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
+        bound = _pack(dag, bytearray(alive), live_in, live_out)
+        assert bound == reference_bound(dag, live)
+
+
+def _guard_skips(dag, v, labels, alive) -> bool:
+    """The solver's test ahead of the keep rule: labeled ``v`` has no live
+    arc on its constrained side, or one whose far end is not labeled with
+    the opposite label."""
+    if labels[v] is Label.FORK:
+        ends, other = [dag.tails[a] for a in dag.in_arcs(v) if alive[a]], Label.MERGE
+    else:
+        ends, other = [dag.heads[a] for a in dag.out_arcs(v) if alive[a]], Label.FORK
+    return not ends or len(ends) == 1 and labels[ends[0]] is not other
+
+
+def test_the_keep_side_guard_skips_only_vertices_the_rule_leaves_alone():
+    # Random partial labelings and masks: every vertex the guard passes
+    # over has no doomed arc, and the solver's reduction from that state,
+    # with every vertex queued, leaves no labeled vertex with one.
+    rng = SplitMix64(1616)
+    skipped = 0
+    for _ in range(300):
+        dag = _shuffled_random_dag(rng, 2 + rng.below(11), 20 + rng.below(60))
+        labels = [(None, Label.FORK, Label.MERGE)[rng.below(3)] for _ in dag.vertices()]
+        alive = bytearray(int(rng.below(100) < 70) for _ in range(dag.arc_count))
+        for v in dag.vertices():
+            if labels[v] is not None and _guard_skips(dag, v, labels, alive):
+                skipped += 1
+                assert doomed_arcs(dag, v, labels, alive) == []
+        solver = Solver(dag)
+        solver._labels[:], solver._alive[:] = labels, alive
+        solver._live_in[:] = [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
+        solver._live_out[:] = [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
+        solver._reduce(None)
+        for v in dag.vertices():
+            if solver._labels[v] is not None:
+                assert doomed_arcs(dag, v, solver._labels, solver._alive) == []
+    assert skipped == 765  # of 1,327 labeled vertices, 218 with one live arc
+
+
 def test_stats_are_populated():
     result = solve_addf(TIGHT_12)
     stats = result.stats
@@ -478,7 +584,7 @@ def test_oracles_agree_where_the_set_label_rule_fails():
 
 
 @pytest.mark.xfail(
-    reason="the degree-counting Fork and Merge cases of Solver._rule_label "
+    reason="the degree-counting Fork and Merge cases of the set-label rule "
     "label a vertex without pricing its arcs to unlabeled neighbors",
 )
 def test_solver_finds_the_distance_where_the_set_label_rule_fails():
