@@ -30,7 +30,7 @@ from .analysis import is_funnel_degree
 from .approx import approximate_addf
 from .exact import Solver, lower_bound
 from .generator import GenParams, derive_seed, planted_instance
-from .graph import Dag
+from .graph import MAX_GRID_ROWS, Dag
 
 REPORT_SCHEMA = "funnelkit-report/1"
 WORKERS_ENV = "FUNNELKIT_WORKERS"
@@ -176,6 +176,8 @@ class GridSpec:
         # derive_seed masks to 64 bits, so a wider seed would alias another.
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"grid seed must lie in 0..2**64-1, got {self.seed}")
+        if len(self.ns) * len(self.ps) * len(self.ss) * self.replicates > MAX_GRID_ROWS:
+            raise ValueError(f"grid has more than {MAX_GRID_ROWS} rows")
 
     @classmethod
     def large_scale(cls) -> "GridSpec":

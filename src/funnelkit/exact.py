@@ -350,8 +350,8 @@ class Solver:
             stats.leaves += 1
             self._check_leaf()
             # Past both prunes, so the leaf beats the incumbent.
-            arcs = self.dag.arcs
-            self._best_set = frozenset(arcs[a] for a in self._trail if a >= 0)
+            tails, heads = self.dag.tails, self.dag.heads
+            self._best_set = frozenset((tails[a], heads[a]) for a in self._trail if a >= 0)
             self._best_labels = Labeling(labels)
             self._cutoff = size
             if trace is not None:

@@ -9,6 +9,7 @@ import pytest
 import funnelkit.bench
 from funnelkit import GridSpec, SplitMix64, emit_edge_list, parse_edge_list
 from funnelkit.cli import main
+from funnelkit.graph import MAX_GRID_ROWS
 from samples import D0, DIAMOND, FUNNEL_8, G8, NEAR_FUNNEL_8, disjoint_copies, mutate
 
 
@@ -403,6 +404,21 @@ def test_bench_accepts_the_extreme_seeds(tmp_path, capsys, seed):
     grid.write_text(json.dumps({**spec, "seed": seed}))
     assert main(["bench", "--grid", str(grid)]) == 0
     assert capsys.readouterr().out == from_flag
+
+
+def test_bench_rejects_a_grid_over_the_row_cap(tmp_path, capsys):
+    # Checked before any row is listed: listing 10^8 rows would need gigabytes.
+    grid = tmp_path / "grid.json"
+    spec = {"ns": [6], "ps": [0.4], "ss": [0], "replicates": 100_000_000,
+            "time_limit_ms": 20}
+    grid.write_text(json.dumps(spec))
+    assert "rows" in _bench_error(["--grid", str(grid)], capsys)
+    # The large preset stays far below the cap; a grid at the cap is allowed.
+    large = GridSpec.large_scale()
+    assert len(large.ns) * len(large.ps) * len(large.ss) * large.replicates == 1080
+    GridSpec(ns=(6,), ps=(0.4,), ss=(0,), replicates=MAX_GRID_ROWS)
+    with pytest.raises(ValueError, match="rows"):
+        GridSpec(ns=(6,), ps=(0.4,), ss=(0, 1), replicates=MAX_GRID_ROWS // 2 + 1)
 
 
 def test_bench_unknown_grid_key(tmp_path, capsys):

@@ -2,6 +2,9 @@ import hashlib
 import heapq
 import io
 import re
+import tracemalloc
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -11,6 +14,7 @@ from funnelkit import (
     CycleDetected,
     Dag,
     DuplicateArc,
+    GenParams,
     GraphError,
     Labeling,
     MalformedLine,
@@ -21,11 +25,12 @@ from funnelkit import (
     emit_dot,
     emit_edge_list,
     parse_edge_list,
+    planted_instance,
     read_arc_list,
     reduce_3sat,
     topological_order,
 )
-from funnelkit.graph import MAX_VERTICES
+from funnelkit.graph import _BLOCK, MAX_VERTICES, _read_plain, dag_from_keys
 from samples import D0, DIAMOND, NEAR_FUNNEL_8, mutate, random_dag
 
 
@@ -487,3 +492,107 @@ def test_shuffled_arcs_build_the_sorted_tables():
             assert dag == Dag(n, arcs)
             assert dag.tails == tuple(u for u, _ in arcs)
             assert dag.heads == tuple(v for _, v in arcs)
+
+
+def _random_arcs(rng, n, count):
+    """Up to ``count`` distinct arcs on ``n`` vertices, oriented by a random
+    ranking of the ids (so the topological order is not the identity), in
+    a random order.  Every id is a fresh int object."""
+    rank = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        rank[i], rank[j] = rank[j], rank[i]
+    arcs = {}
+    for _ in range(count):
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            arcs.setdefault((u, v) if rank[u] < rank[v] else (v, u), rng.below(1 << 30))
+    return sorted(arcs, key=arcs.__getitem__)
+
+
+def test_vertex_tables_share_one_int_object_per_vertex():
+    # n > 256, so that CPython's cache of small ints cannot hide a table
+    # that holds its own copies of the ids.
+    rng = SplitMix64(814)
+    n = 600
+    arcs = _random_arcs(rng, n, 2 * n)
+    kahn = Dag(n, arcs)
+    assert kahn.topo_order != tuple(range(n))
+    text = emit_edge_list(kahn)
+    dags = [
+        kahn,
+        parse_edge_list(text),  # bulk reader
+        parse_edge_list(text.replace(" ", "\t")),  # line loop
+        dag_from_keys(n, [u * n + v for u, v in arcs]),
+        planted_instance(GenParams(n=700, p=0.01, s=40, seed=5))[0],
+        delete_arcs(kahn, arcs[::3]),
+    ]
+    for dag in dags:
+        tables = chain(dag.tails, dag.heads, dag.in_tails, dag.topo_order)
+        assert len({id(x) for x in tables}) == dag.vertex_count
+
+
+def test_keys_out_of_range_name_their_arc():
+    # A key below 0 would decode through a negative index to a wrong vertex.
+    with pytest.raises(ValueError, match=r"arc \(-1, 3\) out of range for 5 vertices"):
+        dag_from_keys(5, [-2, 1])
+    with pytest.raises(ValueError, match=r"arc \(6, 0\) out of range for 5 vertices"):
+        dag_from_keys(5, [1, 30])
+    assert dag_from_keys(5, [23, 1]).arcs == ((0, 1), (4, 3))
+    with pytest.raises(SelfLoop, match="self-loop at vertex 4"):
+        dag_from_keys(5, [24, 1])
+
+
+def test_in_arc_tables_are_a_stable_sort_by_head():
+    rng = SplitMix64(815)
+    for _ in range(200):
+        n = 1 + rng.below(600)
+        dag = Dag(n, _random_arcs(rng, n, rng.below(3 * n + 1)))
+        by_head = sorted(range(dag.arc_count), key=dag.heads.__getitem__)
+        assert dag.in_ids == array("i", by_head)
+        assert dag.in_tails == tuple(dag.tails[a] for a in by_head)
+
+
+def test_bulk_reader_edge_cases_load_like_the_line_loop():
+    # Three 9-character lines, then 10-character ones: the body's first
+    # block ends on a newline exactly _BLOCK characters in.
+    arcs = [(100, 5000), (101, 5000), (102, 5000)]
+    arcs += [(1000 + i, 1001 + i) for i in range(8000)]
+    dag = Dag(9001, arcs)
+    text = emit_edge_list(dag)
+    header, body = text.split("\n", 1)
+    assert body[_BLOCK] == "\n" and len(body) > _BLOCK + 1
+    lines = body.splitlines(keepends=True)
+    cut = len(body[: _BLOCK + 1].splitlines())  # lines in the first block
+    plain = [body, text, "".join(lines[:cut]), "".join(lines[: cut + 1]),
+             "".join(lines[: cut - 1])]
+    # JSON rejects leading zeros, so these go through the line loop.
+    zeros = []
+    for at in (cut - 1, cut, len(lines) - 1):
+        edited = lines[:at] + ["0" + lines[at]] + lines[at + 1 :]
+        zeros += ["".join(edited), header + "\n" + "".join(edited)]
+    for source in plain + zeros:
+        assert (_read_plain(source) is None) == (source in zeros)
+        _assert_loads_like_the_reference(source)
+    for source in (body, text, *zeros):
+        assert parse_edge_list(source) == dag
+
+
+def test_loading_keeps_the_tables_lean():
+    # Bytes per arc while parse_edge_list loads a planted n = 20,000 file
+    # (m = 40,452): about 106 at the peak and 87 retained by the Dag.  In-arc
+    # ids sorted by sorted() peak at about 136, and tables without shared id
+    # objects retain about 150.
+    dag, _ = planted_instance(GenParams(n=20_000, p=0.0004, s=400, seed=12))
+    text = emit_edge_list(dag)
+    m = dag.arc_count
+    del dag
+    tracemalloc.start()
+    try:
+        loaded = parse_edge_list(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.arc_count == m == 40_452
+    assert peak / m < 122
+    assert retained / m < 100
