@@ -21,7 +21,8 @@ import dataclasses
 import json
 import os
 import sys
-from typing import IO, Sequence
+from operator import methodcaller
+from typing import IO, Callable, Sequence, TypeVar
 
 from . import __version__
 from .analysis import find_forbidden_witness, funnel_labeling
@@ -52,6 +53,9 @@ EXIT_INPUT = 2
 EXIT_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 
+T = TypeVar("T")
+
+
 class InputError(Exception):
     """Raised for any problem with user-supplied files or arguments."""
 
@@ -63,12 +67,14 @@ def _time_limit_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _read_source(path: str) -> str:
+def _read_source(path: str, read: Callable[[IO[str]], T] = methodcaller("read")) -> T:
+    """``read`` applied to the file at ``path`` (``-``: stdin) open as UTF-8
+    text; errors in reading it become :class:`InputError`."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return read(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return read(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -76,13 +82,15 @@ def _read_source(path: str) -> str:
 
 
 def _load_dag(path: str, condense: bool) -> Dag:
-    text = _read_source(path)
+    # The reader gets the open file, not its text, so that the text is gone
+    # before the Dag is built: Python 3.10 keeps a call's arguments alive
+    # until the call returns.
     try:
         if condense:
-            count, arcs = read_arc_list(text)
+            count, arcs = _read_source(path, read_arc_list)
             dag, _ = condense_scc(arcs, count)
             return dag
-        return parse_edge_list(text)
+        return _read_source(path, parse_edge_list)
     except GraphError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

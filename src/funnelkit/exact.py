@@ -81,7 +81,7 @@ def lower_bound(dag: Dag) -> int:
     alive = bytearray(b"\x01") * dag.arc_count
     live_in, live_out = _degrees(dag.in_off), _degrees(dag.out_off)
     stars = _stars(dag, alive, live_in, live_out)
-    return stars + _pack(dag, alive, live_in, live_out)
+    return stars + _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off)
 
 
 def _stars(dag: Dag, alive, live_in, live_out) -> int:
@@ -117,15 +117,15 @@ def _degrees(off) -> list[int]:
     return list(map(sub, islice(off, 1, None), off))
 
 
-def _pack(dag: Dag, alive, live_in, live_out) -> int:
+def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off) -> int:
     """Greedy obstruction count over the arcs set in ``alive``.
 
-    ``live_in``/``live_out`` are the live degrees.  A hit takes the first two
-    free in-arcs and out-arcs in id order, so the count depends only on the
-    graph and the mask.
+    ``live_in``/``live_out`` are the live degrees, and ``out_off``/``in_off``
+    the Dag's offset tables or the solver's tuple copies of them.  A hit
+    takes the first two free in-arcs and out-arcs in id order, so the count
+    depends only on the graph and the mask.
     """
-    tails, heads, out_off = dag.tails, dag.heads, dag.out_off
-    in_off, in_ids = dag.in_off, dag.in_ids
+    tails, heads, in_ids = dag.tails, dag.heads, dag.in_ids
     free = bytearray(alive)
     find = free.find
     free_in = list(live_in)
@@ -209,6 +209,9 @@ class Solver:
         self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
         self._live_in = _degrees(dag.in_off)
         self._live_out = _degrees(dag.out_off)
+        # Reading an array('i') makes an int object; the per-node kernel reads
+        # the offsets from tuples, whose ints exist already.
+        self._offsets = tuple(dag.out_off), tuple(dag.in_off)
         self._deleted = 0  # arc ids on the trail
         self._trail: list[int] = []  # arc id a >= 0, or ~v for a label of v
         self._trace = trace
@@ -247,8 +250,9 @@ class Solver:
         dag, labels, alive, trail = self.dag, self._labels, self._alive, self._trail
         stats, trace = self.stats, self._trace
         live_in, live_out = self._live_in, self._live_out
-        tails, heads, out_off, find = dag.tails, dag.heads, dag.out_off, alive.find
-        in_off, in_ids, in_tails = dag.in_off, dag.in_ids, dag.in_tails
+        tails, heads, find = dag.tails, dag.heads, alive.find
+        out_off, in_off = self._offsets
+        in_ids, in_tails = dag.in_ids, dag.in_tails
         fork, merge = Label.FORK, Label.MERGE
 
         def ins(v):  # live in-neighbors, in tail order
@@ -338,7 +342,7 @@ class Solver:
             if trace is not None:
                 trace(f"prune {size}")
             return None
-        bound = _pack(self.dag, self._alive, self._live_in, self._live_out)
+        bound = _pack(self.dag, self._alive, self._live_in, self._live_out, *self._offsets)
         if size + bound >= self._cutoff:
             stats.pruned += 1
             if trace is not None:

@@ -32,10 +32,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # SplitMix64.below_each hashes up to _LANES states at once, lane i of an int
 # holding bits 128i..128i+127: _ONES has 1 in every lane, _LOW the low 64
 # bits of every lane, and _GAMMAS the state step of lane i, (i + 1) * gamma.
+# _ONES and _GAMMAS are read from their bytes: summing _LANES shifted terms
+# would take quadratic time at every import.
 _LANES = 1024
-_ONES = sum(1 << (i << 7) for i in range(_LANES))
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
 _LOW = _ONES * _MASK64
-_GAMMAS = sum(((i + 1) * _GOLDEN & _MASK64) << (i << 7) for i in range(_LANES))
+_GAMMAS = int.from_bytes(
+    struct.pack("<" + "Q8x" * _LANES, *((i + 1) * _GOLDEN & _MASK64 for i in range(_LANES))),
+    "little",
+)
 
 
 class NotEnoughSlots(Exception):

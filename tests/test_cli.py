@@ -3,11 +3,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import funnelkit.bench
-from funnelkit import GridSpec, SplitMix64, emit_edge_list, parse_edge_list
+import funnelkit.cli as cli
+from funnelkit import (
+    Dag,
+    GenParams,
+    GridSpec,
+    SplitMix64,
+    emit_edge_list,
+    parse_edge_list,
+    planted_instance,
+)
 from funnelkit.cli import main
 from funnelkit.graph import MAX_GRID_ROWS
 from samples import D0, DIAMOND, FUNNEL_8, G8, NEAR_FUNNEL_8, disjoint_copies, mutate
@@ -100,6 +110,30 @@ def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+def test_loading_a_file_drops_its_text_before_the_build(tmp_path, monkeypatch):
+    # The planted n = 20,000 file (m = 40,452, about 11 bytes per arc):
+    # when the build starts, the load holds the two id arrays the reader
+    # made (8 bytes per arc) and no longer the text.
+    dag, _ = planted_instance(GenParams(n=20_000, p=0.0004, s=400, seed=12))
+    path = tmp_path / "planted.edges"
+    path.write_text(emit_edge_list(dag))
+    held = []
+    build = Dag._build
+
+    def traced_build(self, *args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build(self, *args)
+
+    monkeypatch.setattr(Dag, "_build", traced_build)
+    tracemalloc.start()
+    try:
+        loaded = cli._load_dag(str(path), condense=False)
+    finally:
+        tracemalloc.stop()
+    assert loaded == dag and dag.arc_count == 40_452
+    assert len(held) == 1 and held[0] < path.stat().st_size
 
 
 _FUZZ_ARGVS = [

@@ -167,6 +167,8 @@ def full_pack(dag) -> int:
         bytearray(b"\x01") * dag.arc_count,
         [dag.in_degree(v) for v in dag.vertices()],
         [dag.out_degree(v) for v in dag.vertices()],
+        dag.out_off,
+        dag.in_off,
     )
 
 
@@ -197,7 +199,7 @@ def test_solver_bound_on_random_live_masks():
         rest = delete_arcs(dag, [dag.arcs[a] for a in dead])
         live_in = [rest.in_degree(v) for v in dag.vertices()]
         live_out = [rest.out_degree(v) for v in dag.vertices()]
-        bound = _pack(dag, alive, live_in, live_out)
+        bound = _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off)
         assert bound == full_pack(rest)
         assert bound == reference_bound(dag, set(rest.arcs))
         assert bound <= brute_force_addf(rest).distance
@@ -461,9 +463,10 @@ def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
     # first 50 nodes of the dense cell, partly deleted by the reductions.
     seen = []
 
-    def record(dag, alive, live_in, live_out):
+    def record(dag, alive, live_in, live_out, out_off, in_off):
+        assert (out_off, in_off) == (tuple(dag.out_off), tuple(dag.in_off))
         seen.append((bytes(alive), list(live_in), list(live_out)))
-        return _pack(dag, alive, live_in, live_out)
+        return _pack(dag, alive, live_in, live_out, out_off, in_off)
 
     monkeypatch.setattr(exact, "_pack", record)
     with pytest.raises(_Stop):
@@ -474,7 +477,7 @@ def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
         live = {dag.arcs[a] for a in range(dag.arc_count) if alive[a]}
         assert live_in == [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
         assert live_out == [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
-        bound = _pack(dag, bytearray(alive), live_in, live_out)
+        bound = _pack(dag, bytearray(alive), live_in, live_out, dag.out_off, dag.in_off)
         assert bound == reference_bound(dag, live)
 
 

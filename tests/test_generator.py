@@ -83,6 +83,15 @@ def test_below_each_draws_what_below_draws(length, kind):
         assert bulk._state == one._state
 
 
+def test_lane_constants_equal_their_sums():
+    lanes, mask = generator._LANES, generator._MASK64
+    assert generator._ONES == sum(1 << (i << 7) for i in range(lanes))
+    assert generator._LOW == sum(mask << (i << 7) for i in range(lanes))
+    assert generator._GAMMAS == sum(
+        ((i + 1) * generator._GOLDEN & mask) << (i << 7) for i in range(lanes)
+    )
+
+
 def test_below_each_needs_positive_spans():
     for spans in ([0], [5, -1, 3]):
         with pytest.raises(ValueError, match="positive range"):

@@ -124,6 +124,28 @@ def test_delete_arcs():
         delete_arcs(DIAMOND, [(3, 0)])
 
 
+def test_delete_arcs_by_id_matches_the_arc_tuple_rebuild():
+    # The result equals the Dag rebuilt from the arc tuples left, table for
+    # table, and neither dag.arcs nor dag.arc_set is built on the input.
+    rng = SplitMix64(1801)
+    for n, arcs in _shuffled_dags(rng, 300):
+        dag = Dag(n, arcs)
+        gone = [arcs[rng.below(len(arcs))] for _ in range(rng.below(len(arcs) + 1))]
+        rest = delete_arcs(dag, gone)
+        assert dag._arcs is None and dag._arc_set is None
+        ref = Dag(n, [arc for arc in arcs if arc not in set(gone)])
+        for name in ("tails", "heads", "out_off", "in_off", "in_ids", "in_tails", "topo_order"):
+            assert getattr(rest, name) == getattr(ref, name)
+    # Missing, out-of-range and malformed arcs are not present.
+    absent = [(3, 0), (0, 3), (-3, 3), (1, -1), (0, 4), (4, 0), (0.5, 1), (0, 1.5),
+              ("0", "1"), (0, 1, 3), (0,), None, 5]
+    for arc in absent:
+        with pytest.raises(ArcNotPresent, match="not present"):
+            delete_arcs(DIAMOND, [(0, 1), arc])
+        with pytest.raises(ArcNotPresent, match="not present"):
+            emit_dot(DIAMOND, highlight=[arc])
+
+
 def test_read_arc_list_plain():
     n, arcs = read_arc_list("0 1\n# comment\n\n1 2\n")
     assert n == 3
@@ -530,6 +552,9 @@ def test_vertex_tables_share_one_int_object_per_vertex():
     for dag in dags:
         tables = chain(dag.tails, dag.heads, dag.in_tails, dag.topo_order)
         assert len({id(x) for x in tables}) == dag.vertex_count
+        # The tables of arc ids hold no int objects at all.
+        for table in (dag.out_off, dag.in_off, dag.in_ids):
+            assert type(table) is array and table.typecode == "i"
 
 
 def test_keys_out_of_range_name_their_arc():
@@ -580,9 +605,10 @@ def test_bulk_reader_edge_cases_load_like_the_line_loop():
 
 def test_loading_keeps_the_tables_lean():
     # Bytes per arc while parse_edge_list loads a planted n = 20,000 file
-    # (m = 40,452): about 106 at the peak and 87 retained by the Dag.  In-arc
-    # ids sorted by sorted() peak at about 136, and tables without shared id
-    # objects retain about 150.
+    # (m = 40,452): about 69 at the peak and 52 retained by the Dag.  Offset
+    # tables as tuples of ints peak at about 106 and retain 87, in-arc ids
+    # sorted by sorted() peak at about 101, and tables without shared id
+    # objects retain about 115.
     dag, _ = planted_instance(GenParams(n=20_000, p=0.0004, s=400, seed=12))
     text = emit_edge_list(dag)
     m = dag.arc_count
@@ -594,5 +620,5 @@ def test_loading_keeps_the_tables_lean():
     finally:
         tracemalloc.stop()
     assert loaded.arc_count == m == 40_452
-    assert peak / m < 122
-    assert retained / m < 100
+    assert peak / m < 79
+    assert retained / m < 60
