@@ -28,9 +28,14 @@ node, not only the root.  The claim is re-checked at every leaf.
 The search is depth-first from an explicit stack of (trail mark, vertex,
 label) entries, Fork child first; popping one undoes the trail to its mark,
 so the Python stack stays flat however deep the search goes.
-``time_limit_ms`` starts when the :class:`Solver` is built and is checked
-only before a branch, so the approximation and the root's reductions and
-bound run past it.
+
+:func:`solve_addf` is the one entry point.  It takes the incumbent (the
+caller's ``incumbent=``, else the approximation), then :func:`lower_bound`
+once; when the bound reaches the cutoff no smaller solution exists, so the
+incumbent is returned as a certified root (one node, pruned, never timed
+out) and no :class:`Solver` is built.  ``time_limit_ms`` starts when
+:func:`solve_addf` is entered and is checked only before a branch, so the
+approximation, the bound and the root's reductions run past it.
 
 Nodes are pruned against the incumbent (the caller's ``incumbent=``, else
 the approximation) using a certificate packing: arc-disjoint obstructions
@@ -178,6 +183,8 @@ class SolverStats:
     pruned: int = 0
     leaves: int = 0
     timed_out: bool = False
+    lower_bound: Optional[int] = None  # the root's lower_bound, set by solve_addf
+    lower_bound_ms: float = 0.0  # the time it took
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,9 @@ class ExactResult:
 class Solver:
     """Branch-and-bound state: live arc view, labels, trail, incumbent.
 
-    ``incumbent`` is the starting solution (default: the approximation).
+    ``incumbent`` is the starting solution (default: the approximation), and
+    ``time_limit_ms`` starts when the solver is built.  :func:`solve_addf`,
+    the entry point, builds one only when the root bound leaves a gap.
     """
 
     def __init__(
@@ -399,17 +408,42 @@ def solve_addf(
     dag: Dag,
     initial_upper_bound: Optional[int] = None,
     *,
+    incumbent: Optional[ApproxResult] = None,
     time_limit_ms: Optional[float] = None,
     trace: Optional[Callable[[str], None]] = None,
 ) -> ExactResult:
     """Minimum arc deletion distance to a funnel, with set and labeling.
 
-    Seeds the incumbent with the factor-2 approximation (or the caller's
-    bound when that is smaller) and explores the reduced branching tree,
-    pruning on the obstruction-packing lower bound.  With a time limit the
-    incumbent so far is returned, and ``stats.timed_out`` is set when the
-    search stopped with the gap still open; the distance is then only an
-    upper bound.
+    Looks only for solutions below the cutoff: the size of ``incumbent``
+    (default: the factor-2 approximation), or ``initial_upper_bound + 1``
+    when that is smaller.  A root :func:`lower_bound` (kept in
+    ``stats.lower_bound``, its time in ``stats.lower_bound_ms``) that
+    reaches the cutoff certifies the incumbent: one pruned node, traced
+    ``prune 0+<bound>``.  Otherwise a :class:`Solver` searches.  With a
+    time limit, counted from this call's entry, the incumbent so far is
+    returned, and ``stats.timed_out`` is set when the search stopped with
+    the gap still open; the distance is then only an upper bound.
     """
-    solver = Solver(dag, initial_upper_bound, time_limit_ms=time_limit_ms, trace=trace)
-    return solver.run()
+    entry = time.perf_counter()
+    if incumbent is None:
+        incumbent = approximate_addf(dag)
+    start = time.perf_counter()
+    bound = lower_bound(dag)
+    now = time.perf_counter()
+    cutoff = size = len(incumbent.deletion_set)
+    if initial_upper_bound is not None:
+        cutoff = min(cutoff, initial_upper_bound + 1)
+    if bound >= cutoff:
+        if trace is not None:
+            trace(f"prune 0+{bound}")
+        stats = SolverStats(nodes=1, pruned=1)
+        result = ExactResult(size, incumbent.deletion_set, incumbent.labeling.copy(), stats)
+    else:
+        if time_limit_ms is not None:
+            time_limit_ms -= (now - entry) * 1000
+        solver = Solver(
+            dag, initial_upper_bound, incumbent=incumbent, time_limit_ms=time_limit_ms, trace=trace
+        )
+        result = solver.run()
+    result.stats.lower_bound, result.stats.lower_bound_ms = bound, (now - start) * 1000
+    return result

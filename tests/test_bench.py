@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-import funnelkit.bench as bench
+import funnelkit.exact as exact
 from funnelkit import (
     GenParams,
     GridSpec,
@@ -293,7 +293,7 @@ def test_solver_is_built_only_for_an_open_gap(monkeypatch):
     def no_solver(*args, **kwargs):
         raise SolverBuilt
 
-    monkeypatch.setattr(bench, "Solver", no_solver)
+    monkeypatch.setattr(exact, "Solver", no_solver)
     gaps = 0
     for dag in [D0, DIAMOND, TIGHT_12] + [
         planted_instance(params)[0] for _, params in random_planted_params(60)
@@ -310,6 +310,6 @@ def test_solver_is_built_only_for_an_open_gap(monkeypatch):
                     analyze(dag, "x", time_limit_ms=limit)
         gaps += lower < approx
     assert gaps
-    # Without both numbers there is no certificate, so mode "exact" searches.
-    with pytest.raises(SolverBuilt):
-        analyze(D0, "d0", mode="exact")
+    # Mode "exact" certifies too: solve_addf computes both numbers itself.
+    report = analyze(D0, "d0", mode="exact", time_limit_ms=0.0)
+    assert report.exact_size == 1 and not report.timed_out

@@ -17,6 +17,7 @@ from funnelkit import (
     emit_edge_list,
     parse_edge_list,
     planted_instance,
+    solve_addf,
 )
 from funnelkit.cli import main
 from funnelkit.graph import MAX_GRID_ROWS
@@ -233,6 +234,23 @@ def test_zero_time_limit_with_nothing_left_to_search(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["exact_size"] == 0
     assert data["timed_out"] is False
+
+
+def test_exact_mode_certifies_the_root_under_a_zero_time_limit(tmp_path, capsys):
+    # The root bound 8 meets the approximation's 8: the answer is proven
+    # before any search, so the zero limit cuts nothing short.
+    prefix = str(tmp_path / "g")
+    argv = ["generate", "--n", "40", "--p", "0.4", "--s", "10", "--seed", "2", "--out", prefix]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv = ["distance", "--mode", "exact", "--time-limit-ms", "0", prefix + ".edges"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["exact_size"] == 8 and data["timed_out"] is False
+    assert "lower_bound" not in data and "approx_size" not in data
+    with open(prefix + ".edges", encoding="utf-8") as handle:
+        result = solve_addf(parse_edge_list(handle.read()), time_limit_ms=0)
+    assert result.distance == 8 and not result.stats.timed_out
 
 
 def test_distance_mode_approx_only(d0_file, capsys):

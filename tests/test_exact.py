@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import inspect
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -350,20 +352,70 @@ def _shuffled_random_dag(rng, n, arc_chance_pct):
     return Dag(n, [(perm[u], perm[v]) for u, v in arcs])
 
 
+def _golden_dags():
+    """The 200 seeded DAGs of the golden traces (3 to 12 vertices)."""
+    rng = SplitMix64(505)
+    return [_shuffled_random_dag(rng, 3 + rng.below(10), 40) for _ in range(200)]
+
+
 def test_golden_traces_on_shuffled_random_dags():
     # Every trace line of 200 seeded searches, hashed; the value was taken
     # from the recursive solver, so the explicit stack must make the same
-    # moves in the same order.
-    rng = SplitMix64(505)
+    # moves in the same order.  The Solver runs directly: solve_addf would
+    # certify most of these at the root without a search.
     digest = hashlib.sha256()
-    for _ in range(200):
-        dag = _shuffled_random_dag(rng, 3 + rng.below(10), 40)
+    for dag in _golden_dags():
         lines = []
-        solve_addf(dag, trace=lines.append)
+        Solver(dag, trace=lines.append).run()
         digest.update(("\n".join(lines) + "\n--\n").encode())
     assert digest.hexdigest() == (
         "172922240fa8c6130e1776f6a25a2d087496a763526e1dbad73eae1aff371fb8"
     )
+
+
+def test_certified_roots_agree_with_the_search_and_the_oracle():
+    # Where the root bound meets the approximation, solve_addf returns it
+    # after one pruned node; everywhere else it makes the Solver's moves.
+    certified = 0
+    for dag in _golden_dags():
+        lines, searched = [], []
+        result = solve_addf(dag, trace=lines.append)
+        full = Solver(dag, trace=searched.append).run()
+        bound = lower_bound(dag)
+        assert result.stats.lower_bound == bound
+        if bound >= approximate_addf(dag).size:
+            certified += 1
+            assert result.stats.nodes == result.stats.pruned == 1
+            assert lines == [f"prune 0+{bound}"]
+            assert result.distance == full.distance == labeling_enumeration_addf(dag)
+            assert is_funnel_degree(delete_arcs(dag, result.deletion_set))
+        else:
+            assert lines == searched
+            assert result.distance == full.distance
+    assert certified == 190
+
+
+def _solver_builds(node, where):
+    """The innermost enclosing function of every ``Solver(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "Solver":
+                yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _solver_builds(child, inner)
+
+
+def test_only_solve_addf_builds_a_solver():
+    # One exact entry point: the certificate, the time limit and any span
+    # on the search live in solve_addf, so nothing else under src/ runs a
+    # Solver.
+    builds = [
+        (path.name, where)
+        for path in sorted(Path(exact.__file__).parent.glob("*.py"))
+        for where in _solver_builds(ast.parse(path.read_text(encoding="utf-8")), None)
+    ]
+    assert builds == [("exact.py", "solve_addf")]
 
 
 class _Stop(Exception):
@@ -405,7 +457,9 @@ def _desk_row(n, p, s, rep):
     ],
 )
 def test_golden_search_statistics(row, distance, counters):
-    result = solve_addf(_desk_row(*row))
+    # The Solver runs directly: solve_addf certifies the first row at its
+    # root (bound 23, approximation 23) without a search.
+    result = Solver(_desk_row(*row)).run()
     stats = result.stats
     assert result.distance == distance
     assert not stats.timed_out
