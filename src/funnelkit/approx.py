@@ -97,6 +97,13 @@ def greedy_relabel(
     the size by g then flipping back changes it by -g, so one delta serves
     both directions.  One pass in topological order by default;
     ``fixpoint`` repeats passes until no flip helps.
+
+    A vertex with no side cost of its own never flips, so it is skipped.
+    For a Fork with ``in <= [fork_in > 0]`` the Fork-to-Merge change is at
+    least ``[fork_in > 0] - in >= 0``, as at most its ``out - merge_out``
+    children that are no Merge can take one off.  For a Merge with ``out <=
+    [merge_out > 0]`` it is at most ``out - [merge_out > 0] <= 0``, as at
+    most its ``in - fork_in`` parents that are no Fork can add one.
     """
     labeling.require_total()
     fork, merge = Label.FORK, Label.MERGE
@@ -107,9 +114,12 @@ def greedy_relabel(
     while True:
         flipped = False
         for v in dag.topo_order:
+            is_fork = labels[v] is fork
+            if (in_off[v + 1] - in_off[v] <= (fork_in[v] > 0) if is_fork
+                    else out_off[v + 1] - out_off[v] <= (merge_out[v] > 0)):
+                continue  # no side cost of its own: v would not flip
             outs = heads[out_off[v] : out_off[v + 1]]
             ins = in_tails[in_off[v] : in_off[v + 1]]
-            is_fork = labels[v] is fork
             is_merge = not is_fork
             # The size change if v goes from Fork to Merge, over the arcs at
             # v: first v's own side costs (a Fork's in-arcs but one from a

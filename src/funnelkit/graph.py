@@ -33,7 +33,7 @@ import re
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, compress, islice, repeat
-from operator import add, eq, floordiv, itemgetter, lt, mod, mul, sub
+from operator import add, eq, floordiv, itemgetter, mod, mul, sub
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .labeling import Labeling, ascii_int
@@ -74,19 +74,14 @@ class MalformedLine(GraphError):
         self.line_no = line_no
 
 
-def _offsets(n: int, ends: Iterable[int]) -> array:
-    """Prefix sums of the arc counts per vertex: ``n + 1`` range bounds."""
-    counts = [0] * n
-    for x in ends:
-        counts[x] += 1
-    return array("i", accumulate(counts, initial=0))
-
-
 def _first_fault(n: int, arcs: Iterable[Arc]) -> GraphError | ValueError:
-    """The error for the first arc, in input order, that is out of range, a
-    self-loop or a repeat of an earlier arc."""
+    """The error for the first arc, in input order, that is no pair, out of
+    range, a self-loop or a repeat of an earlier arc."""
     seen: set[Arc] = set()
-    for u, v in arcs:
+    for arc in arcs:
+        if len(arc) != 2:
+            return ValueError(f"arc {arc} is not a (tail, head) pair")
+        u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             return ValueError(f"arc ({u}, {v}) out of range for {n} vertices")
         if u == v:
@@ -107,20 +102,21 @@ class Dag:
     ``in_tails`` over the same range, and neighbor tuples are slices, so
     every traversal of equal Dags is identical.
 
-    Validation reads the tables: the range check is the extreme tails and
-    heads, a self-loop is ``tails[a] == heads[a]``, and duplicates are
-    adjacent once the arcs are sorted.  Only when one of these fails is the
-    input scanned in its given order, so that the error names the same arc
-    as a per-arc check would.  ``arcs`` and ``arc_set`` are built on their
-    first read.
+    Validation is one pass that counts the degrees (the offsets are their
+    prefix sums) and notes whether the pairs strictly increase and all point
+    up; such arcs are sorted, distinct and free of self-loops.  Other input
+    is also checked for negative ids and self-loops, and sorted by the key
+    ``tail * n + head``.  A failing input is scanned again in its given
+    order, so that the error names the same arc as a per-arc check would.
+    ``arcs`` and ``arc_set`` are built on their first read.
 
     The topological order is Kahn's, each step taking the smallest ready id
     off one min-heap.  When every arc points to a higher id that order is
-    the identity, which one check of the tables returns.
+    the identity, which the validation pass has seen.
 
     The tables hold vertex ids or arc ids.  The vertex-valued ones,
     ``tails``, ``heads``, ``in_tails`` and the topological order, are tuples
-    that take their ids from one list ``vid`` once the order is checked
+    that take their ids from one list ``vid`` once the arcs are checked
     (sorted keys are decoded through it too), so they share one int object
     per vertex.  The arc-id-valued ones, ``out_off``, ``in_off`` and
     ``in_ids``, are ``array('i')``s: 4 bytes an entry and no int objects,
@@ -139,6 +135,8 @@ class Dag:
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
         given = list(map(tuple, arcs))  # arcs given as lists become tuples
+        if any(map((2).__ne__, map(len, given))):
+            raise _first_fault(vertex_count, given)
         self._build(
             vertex_count,
             tuple(map(itemgetter(0), given)),
@@ -161,32 +159,54 @@ class Dag:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         n = self._n = int(vertex_count)
-        if (tails and (min(tails) < 0 or max(tails) >= n or min(heads) < 0 or max(heads) >= n)
-                or keys and not 0 <= keys[0] <= keys[-1] < n * n):
-            raise _first_fault(n, given)
-        # Arcs in strictly increasing order are sorted and distinct already.
-        # Others are sorted by the key tail * n + head, which orders arcs in
-        # range as their pairs do.
-        if keys is None and not all(map(
-            lt, zip(tails, heads), zip(islice(tails, 1, None), islice(heads, 1, None))
-        )):
-            keys = sorted(map(add, map(mul, tails, repeat(n)), heads))
         vid = list(range(n))  # the one int object of each vertex
-        if keys is None:
-            tails = tuple(map(vid.__getitem__, tails))
-            heads = tuple(map(vid.__getitem__, heads))
-        else:
+        if keys is not None:
+            if keys and not 0 <= keys[0] <= keys[-1] < n * n:
+                raise _first_fault(n, given)
+            tails = tuple(map(vid.__getitem__, map(floordiv, keys, repeat(n))))
+            heads = tuple(map(vid.__getitem__, map(mod, keys, repeat(n))))
+        # One pass counts the degrees and sees whether the pairs strictly
+        # increase and whether every arc points up.  An id >= n or below -n
+        # fails its count; one in -n..-1 is caught below, before the counts
+        # are read.
+        out_deg, in_deg = [0] * n, [0] * n
+        ordered = up = True
+        pu = pv = -1
+        try:
+            for u, v in zip(tails, heads):
+                out_deg[u] += 1
+                in_deg[v] += 1
+                if u >= v:
+                    up = False
+                if u < pu or u == pu and v <= pv:
+                    ordered = False
+                pu, pv = u, v
+        except (IndexError, TypeError):
+            if min(tails) < 0 or max(tails) >= n or min(heads) < 0 or max(heads) >= n:
+                raise _first_fault(n, given) from None
+            raise  # an id in range that is no int
+        # Pairs that increase and point up are in range if the first tail is.
+        if tails and not (ordered and up and tails[0] >= 0):
+            if min(tails) < 0 or min(heads) < 0 or not up and any(map(eq, tails, heads)):
+                raise _first_fault(n, given)
+        # Arcs out of order are sorted by the key tail * n + head, which
+        # orders arcs in range as their pairs do, so that a duplicate shows
+        # as two equal keys.  The counts hold in any order.
+        if not ordered:
+            keys = sorted(map(add, map(mul, tails, repeat(n)), heads))
             if any(map(eq, keys, islice(keys, 1, None))):
                 raise _first_fault(n, given)
             tails = tuple(map(vid.__getitem__, map(floordiv, keys, repeat(n))))
             heads = tuple(map(vid.__getitem__, map(mod, keys, repeat(n))))
-        if any(map(eq, tails, heads)):
-            raise _first_fault(n, given)
+        elif keys is None:
+            tails = tuple(map(vid.__getitem__, tails))
+            heads = tuple(map(vid.__getitem__, heads))
         self.tails, self.heads = tails, heads
         self._arcs: Optional[tuple[Arc, ...]] = None
         self._arc_set: Optional[ArcSet] = None
-        self.out_off = _offsets(n, tails)
-        in_off = self.in_off = _offsets(n, heads)
+        self.out_off = array("i", accumulate(out_deg, initial=0))
+        in_off = self.in_off = array("i", accumulate(in_deg, initial=0))
+        del out_deg, in_deg
         in_ids = self.in_ids = array("i", bytes(4 * len(heads)))
         free = array("i", in_off)  # each head's next free slot in in_ids
         for a, v in enumerate(heads):
@@ -195,12 +215,10 @@ class Dag:
             free[v] = i + 1
         del free  # not held while in_tails is built, the peak of the build
         self.in_tails = tuple([tails[a] for a in in_ids])
-        self._topo = self._kahn(vid)
+        self._topo = tuple(vid) if up else self._kahn(vid)
 
     def _kahn(self, vid: list[int]) -> tuple[int, ...]:
         n, heads, out_off, in_off = self._n, self.heads, self.out_off, self.in_off
-        if all(map(lt, self.tails, heads)):
-            return tuple(vid)  # every arc points up: no id waits on a higher one
         indeg = list(map(sub, islice(in_off, 1, None), in_off))
         ready = [v for v in vid if not indeg[v]]  # sorted, hence a heap
         order: list[int] = []
@@ -318,13 +336,12 @@ def delete_arcs(dag: Dag, arcs: Iterable[Arc]) -> Dag:
 
 
 # What emit_edge_list writes: an optional header, then "<tail> <head>" lines of
-# ASCII digits, each ending in a newline.  Nine digits are enough for any id
-# below MAX_VERTICES and keep int() far from its digit limit.
+# ASCII digits, each ending in a newline.  Nine digits are enough for any
+# count up to MAX_VERTICES and keep int() far from its digit limit.
 _HEADER = re.compile(r"p ([0-9]{1,9}) ([0-9]{1,9})\n")
-_ARC_LINES = re.compile(r"(?:[0-9]{1,9} [0-9]{1,9}\n)*")
-# Plain text is matched and split in blocks of about this many characters:
-# a match keeps a backtracking frame per line, which over the 202,256 lines
-# of a planted n=10^5 file would take 40 MB.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# Plain text is checked and parsed in blocks of about this many characters,
+# so that a JSON list holds the ids of one block, not of the file.
 _BLOCK = 1 << 16
 
 
@@ -347,17 +364,21 @@ def _read_plain(text: str) -> Optional[tuple[int, array, array]]:
     header = _HEADER.match(text)
     start = header.end() if header else 0
     ids = array("i")
+    top = -1
     while start < len(text):
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        if not _ARC_LINES.fullmatch(text, start, end):
+        lines = text[start:end]
+        # Without their digits, plain lines leave " \n" each; JSON then
+        # rejects a missing id.
+        if lines[-1] != "\n" or lines.translate(_NO_DIGITS) != " \n" * lines.count("\n"):
             return None
-        block = text[start : end - 1].replace(" ", ",").replace("\n", ",")
         try:
-            ids.fromlist(json.loads("[" + block + "]"))
-        except ValueError:
+            block = json.loads("[" + lines[:-1].replace(" ", ",").replace("\n", ",") + "]")
+            ids.fromlist(block)
+        except (ValueError, OverflowError):  # OverflowError: an id of 2^31 or more
             return None
+        top = max(top, max(block))
         start = end
-    top = max(ids, default=-1)
     tails, heads = ids[0::2], ids[1::2]
     if header is None:
         return (top + 1, tails, heads) if top < MAX_VERTICES else None

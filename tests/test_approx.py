@@ -223,8 +223,12 @@ def test_deletion_set_matches_the_neighbor_based_reference():
     assert funnels > 50
 
 
-def _reference_greedy_relabel(dag, labeling, fixpoint=False):
-    """greedy_relabel as it was written over a Labeling, with closures."""
+def _reference_greedy_relabel(dag, labeling, fixpoint=False, visit=None):
+    """greedy_relabel as it was written over a Labeling, with closures.
+
+    ``visit(v, labels, fork_in, merge_out, delta)`` sees every step: the
+    state before ``v`` is judged, and the size change its flip would make.
+    """
     labeling.require_total()
     labels = labeling.copy()
     n = dag.vertex_count
@@ -296,7 +300,10 @@ def _reference_greedy_relabel(dag, labeling, fixpoint=False):
     while True:
         flipped = False
         for v in dag.topo_order:
-            if flip_delta(v) < 0:
+            delta = flip_delta(v)
+            if visit is not None:
+                visit(v, labels, fork_in, merge_out, delta)
+            if delta < 0:
                 commit(v)
                 flipped = True
         if not (fixpoint and flipped):
@@ -304,22 +311,58 @@ def _reference_greedy_relabel(dag, labeling, fixpoint=False):
     return labels, arc_deletion_set(dag, labels)
 
 
+def _shuffled_random_dag(rng, n, arc_chance_pct):
+    """A random DAG with shuffled ids, so that the topological order is not
+    the identity."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    arcs = random_dag(rng, n, arc_chance_pct).arcs
+    return Dag(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+def _random_labels(rng, n):
+    return Labeling([Label.FORK if rng.below(2) else Label.MERGE for _ in range(n)])
+
+
 def test_relabel_matches_the_closure_based_reference():
     rng = SplitMix64(307)
     flips = 0
     for _ in range(300):
         n = 1 + rng.below(12)
-        # Shuffled ids, so that the topological order is not the identity.
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = rng.below(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        dag = Dag(n, [(perm[u], perm[v]) for u, v in random_dag(rng, n, 35).arcs])
-        labels = Labeling(
-            [Label.FORK if rng.below(2) else Label.MERGE for _ in range(n)]
-        )
+        dag = _shuffled_random_dag(rng, n, 35)
+        labels = _random_labels(rng, n)
         for fixpoint in (False, True):
             got = greedy_relabel(dag, labels, fixpoint)
             assert got == _reference_greedy_relabel(dag, labels, fixpoint)
             flips += got[0] != labels
     assert flips > 100
+
+
+def test_a_vertex_without_side_cost_would_not_shrink_the_set():
+    # greedy_relabel skips a Fork with in <= [fork_in > 0] and a Merge with
+    # out <= [merge_out > 0].  At every step of the reference pass, the full
+    # flip delta of such a vertex is >= 0, so skipping it changes nothing.
+    rng = SplitMix64(311)
+    deltas = []
+    flips = 0
+
+    def visit(v, labels, fork_in, merge_out, delta):
+        nonlocal flips
+        if labels[v] is Label.FORK:
+            skipped = dag.in_degree(v) <= (fork_in[v] > 0)
+        else:
+            skipped = dag.out_degree(v) <= (merge_out[v] > 0)
+        if skipped:
+            deltas.append(delta)
+        flips += delta < 0
+
+    for _ in range(300):
+        n = 1 + rng.below(40)
+        dag = _shuffled_random_dag(rng, n, rng.below(30))
+        labels = _random_labels(rng, n)
+        for fixpoint in (False, True):
+            _reference_greedy_relabel(dag, labels, fixpoint, visit)
+    assert min(deltas) >= 0
+    assert len(deltas) > 1000 and flips > 100

@@ -81,6 +81,37 @@ def test_validation_errors():
         Dag(4, [(2, 2), (0, 9)])
     with pytest.raises(DuplicateArc):
         Dag(4, [(0, 1), (0, 1), (3, 3)])
+    # An arc is a pair: the first that is not one is named.
+    with pytest.raises(ValueError, match=r"arc \(0, 1, 2\) is not a \(tail, head\) pair"):
+        Dag(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"arc \(0,\) is not a \(tail, head\) pair"):
+        Dag(3, [(0, 1), (0,)])
+    with pytest.raises(ValueError, match=r"arc \(5, 0\) out of range"):
+        Dag(3, [(5, 0), (0,)])
+    # Faults the one-pass build sees in sorted or upward input.
+    with pytest.raises(ValueError, match=r"arc \(-1, 0\) out of range for 3 vertices"):
+        Dag(3, [(-1, 0), (0, 1)])  # increasing and upward
+    with pytest.raises(ValueError, match=r"arc \(1, -1\) out of range for 3 vertices"):
+        Dag(3, [(0, 2), (1, -1)])  # increasing, not upward
+    with pytest.raises(ValueError, match=r"arc \(1, -3\) out of range for 3 vertices"):
+        Dag(3, [(0, 1), (1, -3)])
+    with pytest.raises(ValueError, match=r"arc \(0, -4\) out of range for 3 vertices"):
+        Dag(3, [(0, 1), (0, -4)])
+    with pytest.raises(ValueError, match=r"arc \(0, 3\) out of range for 3 vertices"):
+        Dag(3, [(0, 3), (1, 2)])
+    with pytest.raises(ValueError, match=r"arc \(1, 3\) out of range for 3 vertices"):
+        Dag(3, [(0, 1), (1, 3)])
+    with pytest.raises(SelfLoop, match="self-loop at vertex 1"):
+        Dag(3, [(0, 1), (1, 1), (1, 2)])
+    with pytest.raises(DuplicateArc, match=r"duplicate arc \(0, 2\)"):
+        dag_from_keys(3, [5, 2, 1, 2])
+    with pytest.raises(MalformedLine, match="line 3: vertex id beyond declared count 3"):
+        parse_edge_list("p 3 2\n0 1\n1 3\n")
+    # A float id is no vertex id; out of range it is named like any other.
+    with pytest.raises(TypeError):
+        Dag(3, [(0, 1.0)])
+    with pytest.raises(ValueError, match=r"arc \(0, 5\.0\) out of range for 3 vertices"):
+        Dag(3, [(0, 1.5), (0, 5.0)])
 
 
 def test_arcs_as_lists_and_the_lazy_arc_set():
@@ -596,10 +627,14 @@ def test_bulk_reader_edge_cases_load_like_the_line_loop():
     for at in (cut - 1, cut, len(lines) - 1):
         edited = lines[:at] + ["0" + lines[at]] + lines[at + 1 :]
         zeros += ["".join(edited), header + "\n" + "".join(edited)]
-    for source in plain + zeros:
-        assert (_read_plain(source) is None) == (source in zeros)
+    # So do a last line without its newline, a lone id and ids of 2^31 and
+    # more.
+    other = [body[:-1], "".join(lines[:cut]) + "7", "1", "9497296", "12 3\n45",
+             "1 2147483648\n", "4294967297 1\n"]
+    for source in plain + zeros + other:
+        assert (_read_plain(source) is None) == (source not in plain)
         _assert_loads_like_the_reference(source)
-    for source in (body, text, *zeros):
+    for source in (body, text, body[:-1], *zeros):
         assert parse_edge_list(source) == dag
 
 
