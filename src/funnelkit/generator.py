@@ -306,6 +306,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):  # SATLIB's end marker, before a last "0" line
+            break
         if line.startswith("p"):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":

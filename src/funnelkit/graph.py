@@ -9,8 +9,12 @@ works on two tables, ``tails`` and ``heads``: ``Dag(n, arcs)`` unzips its
 arcs, :func:`parse_edge_list` reads the tables straight from the text and
 :func:`dag_from_keys` sorts and decodes the keys ``tail * n + head``.
 Tables out of order are sorted by that key; arcs already in order, as
-:func:`emit_edge_list` writes them, are not sorted again.  The arc tuples
-of ``dag.arcs`` are built only on first read.
+:func:`emit_edge_list` writes them, are not sorted again.  The arc tuples of
+``dag.arcs`` are built only on first read.  Vertex ids are checked once,
+where they come in: the count must be an integer, ``Dag(n, arcs)`` and
+:func:`dag_from_keys` check the range of their ids and the readers keep
+every id in ``range(n)``.  The build trusts its tables and checks only
+self-loops, repeats and cycles.
 
 Memory: tables of vertex ids share one int object per vertex, tables of arc
 ids are ``array('i')``s (see :class:`Dag`), the reader holds the ids it reads
@@ -33,7 +37,7 @@ import re
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, compress, islice, repeat
-from operator import add, eq, floordiv, itemgetter, mod, mul, sub
+from operator import add, eq, floordiv, index, itemgetter, mod, mul, sub
 from typing import IO, Iterable, Optional, Sequence, Union
 
 from .labeling import Labeling, ascii_int
@@ -92,6 +96,13 @@ def _first_fault(n: int, arcs: Iterable[Arc]) -> GraphError | ValueError:
     raise AssertionError("no faulty arc")
 
 
+def _vertex_count(vertex_count: int) -> int:
+    """``vertex_count`` as an int; a float or a string raises ``TypeError``."""
+    if (n := index(vertex_count)) < 0:
+        raise ValueError("vertex_count must be non-negative")
+    return n
+
+
 class Dag:
     """Immutable simple DAG kept as read-only arc-id tables.
 
@@ -102,13 +113,14 @@ class Dag:
     ``in_tails`` over the same range, and neighbor tuples are slices, so
     every traversal of equal Dags is identical.
 
-    Validation is one pass that counts the degrees (the offsets are their
+    ``Dag(n, arcs)`` checks that its arcs are pairs of ids in ``range(n)``.
+    The build is one pass that counts the degrees (the offsets are their
     prefix sums) and notes whether the pairs strictly increase and all point
     up; such arcs are sorted, distinct and free of self-loops.  Other input
-    is also checked for negative ids and self-loops, and sorted by the key
-    ``tail * n + head``.  A failing input is scanned again in its given
-    order, so that the error names the same arc as a per-arc check would.
-    ``arcs`` and ``arc_set`` are built on their first read.
+    is also checked for self-loops and sorted by the key ``tail * n + head``.
+    A failing input is scanned again in its given order, so that the error
+    names the same arc as a per-arc check would.  ``arcs`` and ``arc_set``
+    are built on their first read.
 
     The topological order is Kahn's, each step taking the smallest ready id
     off one min-heap.  When every arc points to a higher id that order is
@@ -134,68 +146,48 @@ class Dag:
     )
 
     def __init__(self, vertex_count: int, arcs: Iterable[Arc] = ()):
+        n = _vertex_count(vertex_count)
         given = list(map(tuple, arcs))  # arcs given as lists become tuples
         if any(map((2).__ne__, map(len, given))):
-            raise _first_fault(vertex_count, given)
-        self._build(
-            vertex_count,
-            tuple(map(itemgetter(0), given)),
-            tuple(map(itemgetter(1), given)),
-            given,
-        )
+            raise _first_fault(n, given)
+        tails = tuple(map(itemgetter(0), given))
+        heads = tuple(map(itemgetter(1), given))
+        if given and (min(tails) < 0 or max(tails) >= n or min(heads) < 0 or max(heads) >= n):
+            raise _first_fault(n, given)
+        self._build(n, tails, heads)
 
     def _build(
-        self,
-        vertex_count: int,
-        tails: Sequence[int],
-        heads: Sequence[int],
-        given: Iterable[Arc],
-        keys: Optional[list[int]] = None,
+        self, n: int, tails: Sequence[int], heads: Sequence[int], keys: Optional[list[int]] = None
     ) -> None:
-        """Validate, sort and index the arcs ``tails[i] -> heads[i]``, or ``keys``.
-
-        ``given`` is the same arcs in input order, which names a faulty one.
-        """
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        n = self._n = int(vertex_count)
+        """Sort, check and index the arcs ``tails[i] -> heads[i]``, or ``keys``,
+        whose ids the caller has kept in ``range(n)``."""
+        self._n = n
         vid = list(range(n))  # the one int object of each vertex
         if keys is not None:
-            if keys and not 0 <= keys[0] <= keys[-1] < n * n:
-                raise _first_fault(n, given)
             tails = tuple(map(vid.__getitem__, map(floordiv, keys, repeat(n))))
             heads = tuple(map(vid.__getitem__, map(mod, keys, repeat(n))))
         # One pass counts the degrees and sees whether the pairs strictly
-        # increase and whether every arc points up.  An id >= n or below -n
-        # fails its count; one in -n..-1 is caught below, before the counts
-        # are read.
+        # increase and whether every arc points up.
         out_deg, in_deg = [0] * n, [0] * n
         ordered = up = True
         pu = pv = -1
-        try:
-            for u, v in zip(tails, heads):
-                out_deg[u] += 1
-                in_deg[v] += 1
-                if u >= v:
-                    up = False
-                if u < pu or u == pu and v <= pv:
-                    ordered = False
-                pu, pv = u, v
-        except (IndexError, TypeError):
-            if min(tails) < 0 or max(tails) >= n or min(heads) < 0 or max(heads) >= n:
-                raise _first_fault(n, given) from None
-            raise  # an id in range that is no int
-        # Pairs that increase and point up are in range if the first tail is.
-        if tails and not (ordered and up and tails[0] >= 0):
-            if min(tails) < 0 or min(heads) < 0 or not up and any(map(eq, tails, heads)):
-                raise _first_fault(n, given)
+        for u, v in zip(tails, heads):
+            out_deg[u] += 1
+            in_deg[v] += 1
+            if u >= v:
+                up = False
+            if u < pu or u == pu and v <= pv:
+                ordered = False
+            pu, pv = u, v
+        if not up and any(map(eq, tails, heads)):
+            raise _first_fault(n, zip(tails, heads))
         # Arcs out of order are sorted by the key tail * n + head, which
         # orders arcs in range as their pairs do, so that a duplicate shows
         # as two equal keys.  The counts hold in any order.
         if not ordered:
             keys = sorted(map(add, map(mul, tails, repeat(n)), heads))
             if any(map(eq, keys, islice(keys, 1, None))):
-                raise _first_fault(n, given)
+                raise _first_fault(n, zip(tails, heads))
             tails = tuple(map(vid.__getitem__, map(floordiv, keys, repeat(n))))
             heads = tuple(map(vid.__getitem__, map(mod, keys, repeat(n))))
         elif keys is None:
@@ -331,7 +323,7 @@ def delete_arcs(dag: Dag, arcs: Iterable[Arc]) -> Dag:
     # A subset of a Dag's sorted tables is sorted, simple and acyclic.
     tails, heads = tuple(compress(dag.tails, kept)), tuple(compress(dag.heads, kept))
     rest = Dag.__new__(Dag)
-    rest._build(dag.vertex_count, tails, heads, ())
+    rest._build(dag.vertex_count, tails, heads)
     return rest
 
 
@@ -455,15 +447,18 @@ def parse_edge_list(source: Union[str, bytes, IO]) -> Dag:
     n, tails, heads = _read_tables(source)
     del source
     dag = Dag.__new__(Dag)
-    dag._build(n, tails, heads, zip(tails, heads))
+    dag._build(n, tails, heads)
     return dag
 
 
 def dag_from_keys(n: int, keys: Iterable[int]) -> Dag:
     """The Dag on ``n`` vertices whose arcs have the keys ``tail * n + head``."""
+    n = _vertex_count(n)
     keys = sorted(keys)
+    if keys and not 0 <= keys[0] <= keys[-1] < n * n:
+        raise _first_fault(n, map(divmod, keys, repeat(n)))
     dag = Dag.__new__(Dag)
-    dag._build(n, (), (), map(divmod, keys, repeat(n)), keys)
+    dag._build(n, (), (), keys)
     return dag
 
 
@@ -486,7 +481,7 @@ def condense_scc(
     """
     arcs = list(arcs)
     n = (
-        int(vertex_count)
+        _vertex_count(vertex_count)
         if vertex_count is not None
         else max((max(u, v) for u, v in arcs), default=-1) + 1
     )

@@ -342,6 +342,20 @@ def test_generate_cnf(tmp_path, capsys):
     assert data["exact_size"] == 5
 
 
+def test_generate_cnf_reads_satlib_files(tmp_path, capsys):
+    # A SATLIB random 3-SAT file ends with "%" and "0"; it makes the same
+    # gadget as the formula without that trailer.
+    clauses = " 1 -2 3 0\n-1 2 -3 0\n2 3 -1 0\n"
+    (tmp_path / "uf3.cnf").write_text("c uf3\np cnf 3  3\n" + clauses + "%\n0\n\n")
+    (tmp_path / "plain.cnf").write_text("p cnf 3 3\n" + clauses)
+    for name in ("uf3", "plain"):
+        argv = ["generate", "--cnf", str(tmp_path / f"{name}.cnf"), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for suffix in (".edges", ".json"):
+        assert (tmp_path / f"uf3{suffix}").read_text() == (tmp_path / f"plain{suffix}").read_text()
+
+
 def test_generate_bad_cnf(tmp_path, capsys):
     cnf = tmp_path / "bad.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")

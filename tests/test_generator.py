@@ -564,6 +564,17 @@ def test_parse_dimacs_multiline_clause():
     assert formula.clauses == ((1, -2, 3),)
 
 
+def test_parse_dimacs_stops_at_the_satlib_end_marker():
+    # SATLIB's uf*/uuf* files end with a "%" line and a "0" line; the 0
+    # after the marker is no empty clause.
+    plain = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    satlib = "c uf3-01.cnf\np cnf 3  2\n 1 -2 3 0\n-1 2 -3 0\n%\n0\n\n"
+    assert parse_dimacs(satlib) == plain
+    assert parse_dimacs(satlib.replace("%\n", "% end\n")) == plain
+    with pytest.raises(InvalidFormula, match="header declares 2 clauses, found 3"):
+        parse_dimacs(satlib.replace("%\n", ""))
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(InvalidFormula):
         parse_dimacs("1 2 3 0\n")  # no header

@@ -30,7 +30,7 @@ from funnelkit import (
     reduce_3sat,
     topological_order,
 )
-from funnelkit.graph import _BLOCK, MAX_VERTICES, _read_plain, dag_from_keys
+from funnelkit.graph import _BLOCK, MAX_VERTICES, _read_plain, _read_tables, dag_from_keys
 from samples import D0, DIAMOND, NEAR_FUNNEL_8, mutate, random_dag
 
 
@@ -112,6 +112,73 @@ def test_validation_errors():
         Dag(3, [(0, 1.0)])
     with pytest.raises(ValueError, match=r"arc \(0, 5\.0\) out of range for 3 vertices"):
         Dag(3, [(0, 1.5), (0, 5.0)])
+    # A vertex count is an integer: a float or a string is refused, not
+    # truncated, at every door that takes one.
+    for count in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Dag(count, [(0, 1)])
+        with pytest.raises(TypeError):
+            dag_from_keys(count, [1])
+        with pytest.raises(TypeError):
+            condense_scc([(0, 1)], count)
+    with pytest.raises(TypeError):
+        Dag(3.5, [(0, 3)])
+    with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+        dag_from_keys(-1, [])
+    with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+        condense_scc([], -1)
+
+    class Count:  # an integer type other than int, as numpy's are
+        def __index__(self):
+            return 2
+
+    assert Dag(Count(), [(0, 1)]) == dag_from_keys(Count(), [1]) == Dag(2, [(0, 1)])
+    assert condense_scc([(0, 1), (1, 0)], Count())[0] == Dag(1)
+    assert Dag(True) == dag_from_keys(True, []) == Dag(1)  # a bool is an int
+
+
+def test_the_build_still_catches_faults_in_trusted_tables():
+    # Ids in range reach the build unchecked.  It still names self-loops,
+    # repeats and cycles with the errors a per-arc check gives, and an id
+    # in range that is no int fails its count.
+    cases = [
+        (Dag, (3, [(0, 1), (2, 2)]), SelfLoop, "self-loop at vertex 2"),
+        (dag_from_keys, (3, [4]), SelfLoop, "self-loop at vertex 1"),
+        (dag_from_keys, (3, [5, 1, 5]), DuplicateArc, "duplicate arc (1, 2)"),
+        (parse_edge_list, ("0 1\n1 2\n2 0\n",), CycleDetected,
+         "input digraph contains a directed cycle"),
+        (parse_edge_list, ("# by hand\n0 1\n1 2\n2 0\n",), CycleDetected,
+         "input digraph contains a directed cycle"),
+        (parse_edge_list, ("p 3 3\n0 1\n1 2\n0 1\n",), DuplicateArc, "duplicate arc (0, 1)"),
+        (parse_edge_list, ("0 2\n1 2\n 0 2\n",), DuplicateArc, "duplicate arc (0, 2)"),
+        (Dag, (3, [(0, 1.0)]), TypeError, None),
+        (Dag, (3, [(0, 2), (1.0, 2)]), TypeError, None),
+    ]
+    for build, args, error, message in cases:
+        with pytest.raises(error) as info:
+            build(*args)
+        assert type(info.value) is error
+        assert message is None or str(info.value) == message
+
+
+def test_the_readers_hand_the_build_only_ids_in_range():
+    # The build trusts the tables a reader returns: on either path they
+    # hold only ints in range(n), one pair per arc.
+    text = emit_edge_list(NEAR_FUNNEL_8)
+    bases = [text.encode(), text.split("\n", 1)[1].encode()]  # with and without header
+    rng = SplitMix64(79)
+    paths = []
+    for i in range(2000):
+        source = mutate(rng, bases[i % 2])
+        try:
+            n, tails, heads = _read_tables(source)
+        except GraphError:
+            continue
+        paths.append(_read_plain(source.decode()) is not None)
+        assert len(tails) == len(heads)
+        for v in chain(tails, heads):
+            assert type(v) is int and 0 <= v < n
+    assert 100 < sum(paths) < len(paths) - 100  # both paths are taken
 
 
 def test_arcs_as_lists_and_the_lazy_arc_set():
