@@ -242,7 +242,7 @@ def run_grid(spec: GridSpec, workers: Optional[int] = None) -> list[Report]:
     Parallel workers (default from the FUNNELKIT_WORKERS variable, which
     must be a positive integer) only spread instances over processes; the
     report order is always the grid order, so output files do not depend on
-    scheduling.
+    scheduling.  At most one worker per instance and per CPU is started.
     """
     if workers is None:
         raw = os.environ.get(WORKERS_ENV, "1")
@@ -255,6 +255,9 @@ def run_grid(spec: GridSpec, workers: Optional[int] = None) -> list[Report]:
     tasks = [
         (instance, params, spec.time_limit_ms) for instance, params in spec.instances()
     ]
+    # The pool starts all its workers at once under fork, so a count is
+    # capped before it reaches the pool.
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_bench_task(task) for task in tasks]
     # Imported here, so that CLI calls, which never run a parallel grid, do

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from operator import methodcaller
-from typing import IO, Callable, Sequence, TypeVar
+from typing import IO, Callable, NoReturn, Sequence, TypeVar
 
 from . import __version__
 from .analysis import find_forbidden_witness, funnel_labeling
@@ -133,34 +133,26 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     labeling: Labeling | None = None
+    meta = {"schema": GEN_SCHEMA, "tool": f"funnelkit {__version__}"}
     if args.cnf is not None:
         try:
             formula = parse_dimacs(_read_source(args.cnf))
             dag, target = reduce_3sat(formula)
         except InvalidFormula as exc:
             raise InputError(f"{args.cnf}: {exc}") from exc
-        meta = {
-            "schema": GEN_SCHEMA,
-            "tool": f"funnelkit {__version__}",
-            "kind": "cnf3",
-            "num_vars": formula.num_vars,
-            "num_clauses": len(formula.clauses),
-            "target": target,
-        }
+        meta.update(
+            kind="cnf3",
+            num_vars=formula.num_vars,
+            num_clauses=len(formula.clauses),
+            target=target,
+        )
     else:
-        if args.n is None:
-            raise InputError("generate needs either --n or --cnf")
         try:
             params = GenParams(n=args.n, p=args.p, s=args.s, seed=args.seed)
             dag, labeling = planted_instance(params)
         except (ValueError, NotEnoughSlots) as exc:
             raise InputError(str(exc)) from exc
-        meta = {
-            "schema": GEN_SCHEMA,
-            "tool": f"funnelkit {__version__}",
-            "kind": "planted",
-            **dataclasses.asdict(params),
-        }
+        meta.update(kind="planted", **dataclasses.asdict(params))
 
     _write_text(args.out + ".edges", emit_edge_list(dag))
     if labeling is not None:
@@ -212,47 +204,61 @@ def cmd_bench(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors leave through :func:`main`'s one
+    ``error:`` line and exit 2, like every other input error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("path", help="arc list file, or - for stdin")
+    graph.add_argument(
+        "--condense",
+        action="store_true",
+        help="contract strongly connected components first",
+    )
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument(
+        "--time-limit-ms",
+        type=_time_limit_arg,
+        metavar="MS",
+        help="soft deadline for the exact solver",
+    )
+    limits.add_argument(
+        "--times", action="store_true", help="include wall-clock timings"
+    )
+
+    parser = _Parser(
         prog="funnelkit",
         description="funnel recognition and arc deletion distance tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="recognize a funnel")
-    check.add_argument("path", help="arc list file, or - for stdin")
-    check.add_argument(
-        "--condense",
-        action="store_true",
-        help="contract strongly connected components first",
-    )
+    check = sub.add_parser("check", parents=[graph], help="recognize a funnel")
     check.set_defaults(func=cmd_check)
 
-    distance = sub.add_parser("distance", help="arc deletion distance")
-    distance.add_argument("path", help="arc list file, or - for stdin")
+    distance = sub.add_parser(
+        "distance", parents=[graph, limits], help="arc deletion distance"
+    )
     distance.add_argument(
         "--mode",
         choices=("exact", "approx", "lower", "all"),
         default="all",
         help="which solvers to run (default: all)",
     )
-    distance.add_argument(
-        "--time-limit-ms",
-        type=_time_limit_arg,
-        default=None,
-        metavar="MS",
-        help="soft deadline for the exact solver",
-    )
-    distance.add_argument("--condense", action="store_true")
-    distance.add_argument(
-        "--times",
-        action="store_true",
-        help="include wall-clock timings in the JSON",
-    )
     distance.set_defaults(func=cmd_distance)
 
     generate = sub.add_parser("generate", help="write instances to disk")
-    generate.add_argument("--n", type=int, help="planted funnel size")
+    source = generate.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="planted funnel size")
+    source.add_argument(
+        "--cnf",
+        metavar="FILE",
+        help="build the reduction gadget for a DIMACS 3-CNF formula",
+    )
     generate.add_argument(
         "--p", type=float, default=0.5, help="cross arc density (default 0.5)"
     )
@@ -261,38 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
-        "--cnf",
-        metavar="FILE",
-        help="build the reduction gadget for a DIMACS 3-CNF formula",
-    )
-    generate.add_argument(
         "--out", required=True, metavar="PREFIX", help="output file prefix"
     )
     generate.set_defaults(func=cmd_generate)
 
-    bench = sub.add_parser("bench", help="run a generated grid")
-    bench.add_argument("--grid", metavar="FILE", help="grid spec as JSON")
-    bench.add_argument(
+    bench = sub.add_parser("bench", parents=[limits], help="run a generated grid")
+    grid = bench.add_mutually_exclusive_group()
+    grid.add_argument("--grid", metavar="FILE", help="grid spec as JSON")
+    grid.add_argument(
         "--large-grid",
         action="store_true",
         help="use the large preset instead of the desk-sized default",
     )
     bench.add_argument("--seed", type=int, default=None, help="override grid seed")
-    bench.add_argument(
-        "--time-limit-ms", type=_time_limit_arg, default=None, metavar="MS"
-    )
     bench.add_argument("--out", metavar="FILE", help="write the CSV here")
-    bench.add_argument(
-        "--times", action="store_true", help="include timing columns"
-    )
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code

@@ -456,6 +456,8 @@ def dag_from_keys(n: int, keys: Iterable[int]) -> Dag:
     n = _vertex_count(n)
     keys = sorted(keys)
     if keys and not 0 <= keys[0] <= keys[-1] < n * n:
+        if not n:  # no key decodes to an arc
+            raise ValueError(f"arc key {keys[0]} out of range for 0 vertices")
         raise _first_fault(n, map(divmod, keys, repeat(n)))
     dag = Dag.__new__(Dag)
     dag._build(n, (), (), keys)
@@ -483,7 +485,7 @@ def condense_scc(
     n = (
         _vertex_count(vertex_count)
         if vertex_count is not None
-        else max((max(u, v) for u, v in arcs), default=-1) + 1
+        else max(0, max((max(u, v) for u, v in arcs), default=-1) + 1)
     )
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:

@@ -90,6 +90,17 @@ def random_dag(rng: SplitMix64, n: int, arc_chance_pct: int) -> Dag:
     return Dag(n, arcs)
 
 
+def shuffled_random_dag(rng: SplitMix64, n: int, arc_chance_pct: int) -> Dag:
+    """``random_dag`` with its ids permuted, so that the topological order is
+    not the identity."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    arcs = random_dag(rng, n, arc_chance_pct).arcs
+    return Dag(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
 # Edits that break an edge-list file in the ways real files break.
 FUZZ_TOKENS = [
     b" ", b"\n", b"\t", b"\r\n", b"#", b"p", b"p 3 2\n", b"-1", b"1", b"9",

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from funnelkit import (
@@ -10,13 +12,18 @@ from funnelkit import (
     arc_deletion_set,
     assign_labels_greedy,
     brute_force_addf,
+    condense_scc,
     delete_arcs,
+    find_forbidden_witness,
     funnel_labeling,
     greedy_relabel,
     is_funnel_degree,
+    is_funnel_private_arc,
+    lower_bound,
+    read_arc_list,
     verify_funnel_labeling,
 )
-from samples import D0, DIAMOND, PATH3, TIGHT_12, random_dag
+from samples import D0, DIAMOND, PATH3, TIGHT_12, random_dag, shuffled_random_dag
 
 
 def test_greedy_labels_on_small_graphs():
@@ -311,17 +318,6 @@ def _reference_greedy_relabel(dag, labeling, fixpoint=False, visit=None):
     return labels, arc_deletion_set(dag, labels)
 
 
-def _shuffled_random_dag(rng, n, arc_chance_pct):
-    """A random DAG with shuffled ids, so that the topological order is not
-    the identity."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    arcs = random_dag(rng, n, arc_chance_pct).arcs
-    return Dag(n, [(perm[u], perm[v]) for u, v in arcs])
-
-
 def _random_labels(rng, n):
     return Labeling([Label.FORK if rng.below(2) else Label.MERGE for _ in range(n)])
 
@@ -331,7 +327,7 @@ def test_relabel_matches_the_closure_based_reference():
     flips = 0
     for _ in range(300):
         n = 1 + rng.below(12)
-        dag = _shuffled_random_dag(rng, n, 35)
+        dag = shuffled_random_dag(rng, n, 35)
         labels = _random_labels(rng, n)
         for fixpoint in (False, True):
             got = greedy_relabel(dag, labels, fixpoint)
@@ -360,9 +356,26 @@ def test_a_vertex_without_side_cost_would_not_shrink_the_set():
 
     for _ in range(300):
         n = 1 + rng.below(40)
-        dag = _shuffled_random_dag(rng, n, rng.below(30))
+        dag = shuffled_random_dag(rng, n, rng.below(30))
         labels = _random_labels(rng, n)
         for fixpoint in (False, True):
             _reference_greedy_relabel(dag, labels, fixpoint, visit)
     assert min(deltas) >= 0
     assert len(deltas) > 1000 and flips > 100
+
+
+def test_on_the_stdlib_import_graph():
+    # A real DAG: the import graph of the CPython 3.11.7 standard library
+    # (601 modules, 2,018 arcs), written by tests/data/stdlib_imports.py.
+    path = Path(__file__).parent / "data" / "stdlib-imports-3.11.edges"
+    count, arcs = read_arc_list(path.read_text(encoding="utf-8"))
+    assert (count, len(arcs)) == (601, 2018)
+    dag, _ = condense_scc(arcs, count)
+    assert (dag.vertex_count, dag.arc_count) == (470, 762)
+    assert not is_funnel_degree(dag) and not is_funnel_private_arc(dag)
+    assert find_forbidden_witness(dag) is not None
+    approx = approximate_addf(dag)
+    assert (approx.size, lower_bound(dag)) == (76, 42)
+    rest = delete_arcs(dag, approx.deletion_set)
+    assert is_funnel_degree(rest) and is_funnel_private_arc(rest)
+    assert find_forbidden_witness(rest) is None

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -114,6 +116,35 @@ def test_run_grid_parallel_matches_sequential():
     sequential = run_grid(SMALL, workers=1)
     parallel = run_grid(SMALL, workers=3)
     assert write_csv(sequential) == write_csv(parallel)
+
+
+def test_run_grid_caps_the_worker_count(monkeypatch):
+    # A pool under fork starts all its workers at once.  This fake pool only
+    # records the count it is given and maps in-process, so no process starts.
+    counts = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            counts.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    spec = GridSpec(ns=(8,), ps=(0.4,), ss=(1,), replicates=3, seed=5)
+    want = write_csv(run_grid(spec, workers=1))
+    monkeypatch.setenv("FUNNELKIT_WORKERS", "100000")
+    for cpus, pools in [(64, [3]), (2, [2]), (1, []), (None, [])]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        counts.clear()
+        assert write_csv(run_grid(spec)) == want
+        assert counts == pools
 
 
 def test_noise_free_grid_instances_are_funnels():

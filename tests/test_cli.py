@@ -372,11 +372,15 @@ def test_generate_cnf_non_integer_literal(tmp_path, capsys):
     assert "non-integer" in err
 
 
-def _assert_input_error(argv, capsys, tmp_path, needle):
+def _error_line(argv, capsys) -> str:
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert needle in err
+    return err
+
+
+def _assert_input_error(argv, capsys, tmp_path, needle):
+    assert needle in _error_line(argv, capsys)
     assert [p.name for p in tmp_path.iterdir() if p.suffix != ".cnf"] == []
 
 
@@ -413,9 +417,53 @@ def test_generate_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
     _assert_input_error(argv, capsys, tmp_path, "seed must lie in 0..2**64-1")
 
 
-def test_generate_needs_some_source(capsys):
-    assert main(["generate", "--out", "/tmp/never"]) == 2
-    assert "--n or --cnf" in capsys.readouterr().err
+def test_generate_needs_some_source(tmp_path, capsys):
+    argv = ["generate", "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "one of the arguments --n --cnf")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["distance", "--mode", "fast", "IN.edges"], "argument --mode: invalid choice"),
+        (["check"], "the following arguments are required: path"),
+        (["distance", "--mode", "approx"], "the following arguments are required: path"),
+        ([], "the following arguments are required: command"),
+        (["check", "IN.edges", "--color"], "unrecognized arguments: --color"),
+        (["generate", "--out", "OUT"], "one of the arguments --n --cnf is required"),
+        (
+            ["generate", "--n", "5", "--cnf", "IN.cnf", "--out", "OUT"],
+            "argument --cnf: not allowed with argument --n",
+        ),
+        (
+            ["bench", "--grid", "IN.json", "--large-grid", "--out", "OUT.csv"],
+            "argument --large-grid: not allowed with argument --grid",
+        ),
+    ],
+    ids=[
+        "mode",
+        "check-path",
+        "distance-path",
+        "command",
+        "unknown",
+        "no-source",
+        "n-and-cnf",
+        "grid-and-large-grid",
+    ],
+)
+def test_usage_errors_are_one_error_line(tmp_path, capsys, argv, needle):
+    # The parser's errors leave like a bad file's: one line, exit 2.  The
+    # inputs are valid, so only the parser can refuse them, and it does so
+    # before anything is written.
+    (tmp_path / "IN.edges").write_text("0 1\n")
+    (tmp_path / "IN.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+    (tmp_path / "IN.json").write_text('{"ns": [8], "replicates": 1}')
+    paths = {name: str(tmp_path / name) for name in ("IN.edges", "IN.cnf", "IN.json")}
+    paths |= {name: str(tmp_path / "out" / name) for name in ("OUT", "OUT.csv")}
+    (tmp_path / "out").mkdir()
+    err = _error_line([paths.get(arg, arg) for arg in argv], capsys)
+    assert err.startswith(f"error: {needle}")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---- bench ----
@@ -495,10 +543,7 @@ def test_bench_unknown_grid_key(tmp_path, capsys):
 
 
 def _bench_error(argv, capsys) -> str:
-    assert main(["bench", *argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    return err
+    return _error_line(["bench", *argv], capsys)
 
 
 def test_bench_density_out_of_range(tmp_path, capsys):
@@ -598,11 +643,8 @@ def test_bench_bad_worker_count(tmp_path, capsys, monkeypatch, value):
 def test_time_limit_must_be_finite_and_non_negative(d0_file, capsys, command, value):
     # NaN never expires and a negative limit expires at once.
     argv = [command, f"--time-limit-ms={value}"]
-    with pytest.raises(SystemExit) as stop:
-        main(argv + [d0_file] if command == "distance" else argv)
-    assert stop.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--time-limit-ms" in errors[0]
+    err = _error_line(argv + [d0_file] if command == "distance" else argv, capsys)
+    assert err.startswith("error: argument --time-limit-ms: ")
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from samples import (
     disjoint_copies,
     obstruction,
     random_dag,
+    shuffled_random_dag,
 )
 
 
@@ -240,7 +241,7 @@ def test_lower_bound_equals_reference_stars_and_packing_on_shuffled_dags():
     rng = SplitMix64(2024)
     fired = 0
     for _ in range(200):
-        dag = _shuffled_random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
+        dag = shuffled_random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
         assert lower_bound(dag) == reference_lower_bound(dag)
         fired += reference_stars(dag)[0] > 0
     assert fired == 101  # draws on which at least one star is taken
@@ -260,7 +261,7 @@ def test_lower_bound_never_exceeds_the_distance_of_dense_dags():
     rng = SplitMix64(909)
     fired = 0
     for _ in range(60):
-        dag = _shuffled_random_dag(rng, 8 + rng.below(6), 50 + rng.below(30))
+        dag = shuffled_random_dag(rng, 8 + rng.below(6), 50 + rng.below(30))
         lo = lower_bound(dag)
         assert lo <= labeling_enumeration_addf(dag)
         fired += reference_stars(dag)[0] > 0
@@ -341,21 +342,10 @@ def test_golden_trace_of_a_seeded_search():
     ]
 
 
-def _shuffled_random_dag(rng, n, arc_chance_pct):
-    """``random_dag`` with its ids permuted, so that the topological order is
-    not the identity."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    arcs = random_dag(rng, n, arc_chance_pct).arcs
-    return Dag(n, [(perm[u], perm[v]) for u, v in arcs])
-
-
 def _golden_dags():
     """The 200 seeded DAGs of the golden traces (3 to 12 vertices)."""
     rng = SplitMix64(505)
-    return [_shuffled_random_dag(rng, 3 + rng.below(10), 40) for _ in range(200)]
+    return [shuffled_random_dag(rng, 3 + rng.below(10), 40) for _ in range(200)]
 
 
 def test_golden_traces_on_shuffled_random_dags():
@@ -553,7 +543,7 @@ def test_the_keep_side_guard_skips_only_vertices_the_rule_leaves_alone():
     rng = SplitMix64(1616)
     skipped = 0
     for _ in range(300):
-        dag = _shuffled_random_dag(rng, 2 + rng.below(11), 20 + rng.below(60))
+        dag = shuffled_random_dag(rng, 2 + rng.below(11), 20 + rng.below(60))
         labels = [(None, Label.FORK, Label.MERGE)[rng.below(3)] for _ in dag.vertices()]
         alive = bytearray(int(rng.below(100) < 70) for _ in range(dag.arc_count))
         for v in dag.vertices():
@@ -631,7 +621,7 @@ def test_labeling_enumeration_matches_brute_force_on_random_dags():
 def test_labeling_enumeration_matches_the_solver_on_shuffled_dags():
     rng = SplitMix64(606)
     for _ in range(300):
-        dag = _shuffled_random_dag(rng, 3 + rng.below(9), 20 + rng.below(50))
+        dag = shuffled_random_dag(rng, 3 + rng.below(9), 20 + rng.below(50))
         assert labeling_enumeration_addf(dag) == solve_addf(dag).distance
 
 

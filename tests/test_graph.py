@@ -105,6 +105,12 @@ def test_validation_errors():
         Dag(3, [(0, 1), (1, 1), (1, 2)])
     with pytest.raises(DuplicateArc, match=r"duplicate arc \(0, 2\)"):
         dag_from_keys(3, [5, 2, 1, 2])
+    # With no vertices, no key decodes to an arc, and ids that are all
+    # negative imply no vertex.
+    with pytest.raises(ValueError, match=r"^arc key 5 out of range for 0 vertices$"):
+        dag_from_keys(0, [5, 7])
+    with pytest.raises(ValueError, match=r"^arc \(-5, -3\) out of range for 0 vertices$"):
+        condense_scc([(-5, -3)])
     with pytest.raises(MalformedLine, match="line 3: vertex id beyond declared count 3"):
         parse_edge_list("p 3 2\n0 1\n1 3\n")
     # A float id is no vertex id; out of range it is named like any other.
