@@ -135,6 +135,9 @@ def cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
     labeling: Labeling | None = None
     meta = {"schema": GEN_SCHEMA, "tool": f"funnelkit {__version__}"}
     if args.cnf is not None:
+        planted = [f"--{name}" for name in ("p", "s", "seed") if getattr(args, name) is not None]
+        if planted:
+            raise InputError(f"--cnf does not take {', '.join(planted)}")
         try:
             formula = parse_dimacs(_read_source(args.cnf))
             dag, target = reduce_3sat(formula)
@@ -148,7 +151,12 @@ def cmd_generate(args: argparse.Namespace, out: IO[str]) -> int:
         )
     else:
         try:
-            params = GenParams(n=args.n, p=args.p, s=args.s, seed=args.seed)
+            params = GenParams(
+                n=args.n,
+                p=0.5 if args.p is None else args.p,
+                s=args.s or 0,
+                seed=args.seed or 0,
+            )
             dag, labeling = planted_instance(params)
         except (ValueError, NotEnoughSlots) as exc:
             raise InputError(str(exc)) from exc
@@ -259,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="build the reduction gadget for a DIMACS 3-CNF formula",
     )
-    generate.add_argument(
-        "--p", type=float, default=0.5, help="cross arc density (default 0.5)"
-    )
-    generate.add_argument(
-        "--s", type=int, default=0, help="noise arcs to add (default 0)"
-    )
-    generate.add_argument("--seed", type=int, default=0)
+    # The planted options default to None, so that --cnf can refuse them;
+    # cmd_generate applies the defaults for --n.
+    generate.add_argument("--p", type=float, help="cross arc density (default 0.5)")
+    generate.add_argument("--s", type=int, help="noise arcs to add (default 0)")
+    generate.add_argument("--seed", type=int, help="generator seed (default 0)")
     generate.add_argument(
         "--out", required=True, metavar="PREFIX", help="output file prefix"
     )

@@ -41,23 +41,39 @@ Nodes are pruned against the incumbent (the caller's ``incumbent=``, else
 the approximation) using a certificate packing: arc-disjoint obstructions
 each force one deletion, so their count lower-bounds the remaining work.
 The public :func:`lower_bound` adds vertex stars (``min(in, out) - 1``
-deletions each) ahead of its packing; the search's nodes pack alone.
+deletions each) ahead of its packing; the search's nodes use packings
+alone, and pass them down.  A node that branches hands its packing, with
+the obstruction number of every arc it took, to both children.  A child's
+obstructions that lost no arc since are still live and arc-disjoint, so
+they bound it first, and when they reach the cutoff the child is pruned
+with no packing of its own.  Otherwise a child that deleted no arc keeps
+its parent's packing, which a fresh one would find again, and any other
+packs afresh, stopping once the count reaches the cutoff less the arcs
+deleted.  ``prune N+B`` traces the bound B that settled a prune: the
+survivors, or the fresh count at its stop.  The survivors are sound, so a
+completed search returns the same distance; on every search the tests pin
+they prune only nodes that a fresh packing prunes too, so those searches
+move node for node as with a fresh packing at every node.
+
 The live graph is a ``bytearray`` mask over the arc ids of the Dag's own
-tables; a packing works on copies of the mask and of the live degrees.  A
-vertex short of a fork has at most one free out-arc, so the forward search
-is a walk, and ``bytearray.find`` over a vertex's contiguous out-arc ids
-gives a walk's next arc and a fork's first two.  A hit retires the path,
-the fork's two out-arcs and the start's first two free in-arcs directly,
-with their degree updates.  When a walk fails, every vertex on it has at
-most one free out-arc, leading on to a dead end; free arcs only disappear
-during a packing, so none of them can ever reach a fork again.  The packing
-sets their free out-degree to 0, so later walks stop and fail at them: the
-count is that of a plain search and failing walks are linear work in total.
+tables, with a copy by in-arc position (``in_ids`` order) in which a
+vertex's live in-arcs are one slice.  A packing works on copies of the
+mask and of the live degrees.  A vertex short of a fork has at most one
+free out-arc, so the forward search is a walk, and ``bytearray.find``
+over a vertex's contiguous out-arc ids gives a walk's next arc and a fork's
+first two.  A hit retires the path, the fork's two out-arcs and the start's
+first two free in-arcs directly, with their degree updates.  When a walk
+fails, every vertex on it has at most one free out-arc, leading on to a
+dead end; free arcs only disappear during a packing, so none of them can
+ever reach a fork again.  The packing sets their free out-degree to 0, so
+later walks stop and fail at them: the count is that of a plain search and
+failing walks are linear work in total.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, islice
@@ -122,15 +138,19 @@ def _degrees(off) -> list[int]:
     return list(map(sub, islice(off, 1, None), off))
 
 
-def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off) -> int:
+def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off, owner=None, need=None) -> int:
     """Greedy obstruction count over the arcs set in ``alive``.
 
     ``live_in``/``live_out`` are the live degrees, and ``out_off``/``in_off``
     the Dag's offset tables or the solver's tuple copies of them.  A hit
     takes the first two free in-arcs and out-arcs in id order, so the count
-    depends only on the graph and the mask.
+    depends only on the graph and the mask.  ``owner``, when given, maps
+    every arc a hit takes to the hit's number (1, 2, ...).  The count stops
+    early, and is returned, once it reaches ``need``.
     """
     tails, heads, in_ids = dag.tails, dag.heads, dag.in_ids
+    if owner is None:
+        owner = {}
     free = bytearray(alive)
     find = free.find
     free_in = list(live_in)
@@ -151,13 +171,17 @@ def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off) -> int:
                     free_out[heads[a]] = 0
                 break
             count += 1
+            if count == need:
+                return count
             for a in path:
                 free[a] = 0
                 free_out[tails[a]] = 0
                 free_in[heads[a]] -= 1
+                owner[a] = count
             a = find(1, out_off[x])
             b = find(1, a + 1)
             free[a] = free[b] = 0
+            owner[a] = owner[b] = count
             free_out[x] -= 2
             free_in[heads[a]] -= 1
             free_in[heads[b]] -= 1
@@ -166,6 +190,7 @@ def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off) -> int:
             for a in in_ids[in_off[v] : in_off[v + 1]]:
                 if free[a]:
                     free[a] = 0
+                    owner[a] = count
                     free_out[tails[a]] -= 1
                     taken += 1
                     if taken == 2:
@@ -182,6 +207,8 @@ class SolverStats:
     br2: int = 0  # arc-keep branches; label branching alone finishes, so 0
     pruned: int = 0
     leaves: int = 0
+    packs: int = 0  # fresh packings run
+    reused: int = 0  # prunes settled by the parent's surviving obstructions
     timed_out: bool = False
     lower_bound: Optional[int] = None  # the root's lower_bound, set by solve_addf
     lower_bound_ms: float = 0.0  # the time it took
@@ -216,6 +243,13 @@ class Solver:
         self.stats = SolverStats()
         self._labels: list[Optional[Label]] = [None] * dag.vertex_count
         self._alive = bytearray(b"\x01") * dag.arc_count  # by arc id
+        # The same mask by in-arc position (in_ids order), so that a vertex's
+        # live in-arcs are one slice of it; kept in step with _alive.  The
+        # positions are an array('i'): a list would keep an int per arc.
+        self._alive_in = bytearray(self._alive)
+        self._in_pos = array("i", bytes(4 * dag.arc_count))
+        for j, a in enumerate(dag.in_ids):
+            self._in_pos[a] = j
         self._live_in = _degrees(dag.in_off)
         self._live_out = _degrees(dag.out_off)
         # Reading an array('i') makes an int object; the per-node kernel reads
@@ -246,7 +280,7 @@ class Solver:
             if a < 0:
                 self._labels[~a] = None
             else:
-                self._alive[a] = 1
+                self._alive[a] = self._alive_in[self._in_pos[a]] = 1
                 self._live_out[self.dag.tails[a]] += 1
                 self._live_in[self.dag.heads[a]] += 1
                 self._deleted -= 1
@@ -257,16 +291,17 @@ class Solver:
         """Run both rules to a joint fixpoint, from every vertex at the root
         (``v`` None), else from the vertex ``v`` just labeled."""
         dag, labels, alive, trail = self.dag, self._labels, self._alive, self._trail
+        alive_in, in_pos = self._alive_in, self._in_pos
         stats, trace = self.stats, self._trace
         live_in, live_out = self._live_in, self._live_out
-        tails, heads, find = dag.tails, dag.heads, alive.find
+        tails, heads, in_tails = dag.tails, dag.heads, dag.in_tails
+        find, find_in = alive.find, alive_in.find
         out_off, in_off = self._offsets
-        in_ids, in_tails = dag.in_ids, dag.in_tails
         fork, merge = Label.FORK, Label.MERGE
 
         def ins(v):  # live in-neighbors, in tail order
             lo, hi = in_off[v], in_off[v + 1]
-            return compress(in_tails[lo:hi], map(alive.__getitem__, in_ids[lo:hi]))
+            return compress(in_tails[lo:hi], alive_in[lo:hi])
 
         def outs(v):  # live out-neighbors, in head order
             lo, hi = out_off[v], out_off[v + 1]
@@ -287,7 +322,7 @@ class Solver:
             # Labeled: the keep-side guard of the module docstring first.
             if lab is fork:
                 d = live_in[v]
-                if d == 0 or d == 1 and labels[next(ins(v))] is not merge:
+                if d == 0 or d == 1 and labels[in_tails[find_in(1, in_off[v])]] is not merge:
                     continue
             elif lab is merge:
                 d = live_out[v]
@@ -297,12 +332,12 @@ class Solver:
                 # Unlabeled: the set-label rule, Fork cases first.
                 ind, outd = live_in[v], live_out[v]
                 if ind == 0 or ind == 1 and (
-                    labels[next(ins(v))] is fork
+                    labels[in_tails[find_in(1, in_off[v])]] is fork
                     or outd > 1 and None not in map(labels.__getitem__, outs(v))
                 ):
                     lab = fork
                 elif outd == 0 or outd == 1 and (
-                    labels[next(outs(v))] is merge
+                    labels[heads[find(1, out_off[v])]] is merge
                     or ind > 1 and None not in map(labels.__getitem__, ins(v))
                 ):
                     lab = merge
@@ -317,7 +352,7 @@ class Solver:
                 continue
             for a in doomed_arcs(dag, v, labels, alive):
                 u, w = tails[a], heads[a]
-                alive[a] = 0
+                alive[a] = alive_in[in_pos[a]] = 0
                 live_out[u] -= 1
                 live_in[w] -= 1
                 trail.append(a)
@@ -339,20 +374,41 @@ class Solver:
             if doomed_arcs(self.dag, v, self._labels, self._alive):
                 raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
-    def _node(self, v: Optional[int]) -> Optional[int]:
+    def _node(self, v: Optional[int], mark: int, parent: Optional[tuple[int, dict]]):
         """Reduce from the vertex ``v`` just labeled (None at the root), then
-        prune or record a leaf; the vertex to branch on, or None."""
+        prune or record a leaf; the vertex to branch on and this node's
+        packing, or None.
+
+        ``parent`` is the packing ``(count, owner)`` of the node that branched
+        on ``v`` and ``mark`` the trail length before ``v``'s label; the
+        module docstring says how the packing is reused."""
         stats, trace = self.stats, self._trace
         stats.nodes += 1
         self._reduce(v)
-        size = self._deleted
-        if size >= self._cutoff:
+        size, cutoff = self._deleted, self._cutoff
+        if size >= cutoff:
             stats.pruned += 1
             if trace is not None:
                 trace(f"prune {size}")
             return None
-        bound = _pack(self.dag, self._alive, self._live_in, self._live_out, *self._offsets)
-        if size + bound >= self._cutoff:
+        bound, packing = 0, parent
+        if parent is not None:
+            count, owner = parent
+            deleted = [a for a in self._trail[mark:] if a >= 0]
+            bound = count - len({owner[a] for a in deleted if a in owner})
+            if deleted:
+                packing = None
+        if size + bound >= cutoff:
+            stats.reused += 1
+        elif packing is None:
+            owner = {}
+            stats.packs += 1
+            bound = _pack(
+                self.dag, self._alive, self._live_in, self._live_out, *self._offsets,
+                owner, cutoff - size,
+            )
+            packing = bound, owner
+        if size + bound >= cutoff:
             stats.pruned += 1
             if trace is not None:
                 trace(f"prune {size}+{bound}")
@@ -376,26 +432,28 @@ class Solver:
         if self._deadline is not None and time.monotonic() > self._deadline:
             stats.timed_out = True
             return None
-        return v
+        return v, packing
 
     def run(self) -> ExactResult:
-        """Depth-first search from a stack of (trail mark, vertex, label)."""
-        stack: list[tuple[int, int, Label]] = []
-        v = self._node(None)
+        """Depth-first search from a stack of (trail mark, vertex, label,
+        parent packing)."""
+        stack: list[tuple[int, int, Label, tuple[int, dict]]] = []
+        branch = self._node(None, 0, None)
         while True:
-            if v is not None:
+            if branch is not None:
+                v, packing = branch
                 mark = len(self._trail)
-                stack += ((mark, v, Label.MERGE), (mark, v, Label.FORK))
+                stack += ((mark, v, Label.MERGE, packing), (mark, v, Label.FORK, packing))
             if not stack or self.stats.timed_out:
                 break
-            mark, v, lab = stack.pop()
+            mark, v, lab, packing = stack.pop()
             self._undo_to(mark)
             self._labels[v] = lab
             self._trail.append(~v)
             self.stats.br1 += 1
             if self._trace is not None:
                 self._trace(f"br1 {v} {lab.value}")
-            v = self._node(v)
+            branch = self._node(v, mark, packing)
         return ExactResult(
             distance=len(self._best_set),
             deletion_set=self._best_set,

@@ -417,6 +417,37 @@ def test_generate_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
     _assert_input_error(argv, capsys, tmp_path, "seed must lie in 0..2**64-1")
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--p", "0.9"], "--p"),
+        (["--s", "0"], "--s"),
+        (["--seed", "3"], "--seed"),
+        (["--p", "0.5", "--s", "7", "--seed", "0"], "--p, --s, --seed"),
+    ],
+)
+def test_generate_cnf_refuses_the_planted_options(tmp_path, capsys, flags, named):
+    # The gadget has no density, noise or seed; naming one is refused, even
+    # at its default value, before any file is written.
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    argv = ["generate", "--cnf", str(cnf), *flags, "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, f"--cnf does not take {named}")
+
+
+def test_generate_applies_the_planted_defaults(tmp_path):
+    # Without --p, --s and --seed the planted instance is the one they
+    # name at their defaults, byte for byte.
+    bare, named = str(tmp_path / "bare"), str(tmp_path / "named")
+    assert main(["generate", "--n", "30", "--out", bare]) == 0
+    argv = ["generate", "--n", "30", "--p", "0.5", "--s", "0", "--seed", "0", "--out", named]
+    assert main(argv) == 0
+    for suffix in (".edges", ".labels", ".json"):
+        assert (tmp_path / f"bare{suffix}").read_bytes() == (tmp_path / f"named{suffix}").read_bytes()
+    meta = json.loads((tmp_path / "bare.json").read_text())
+    assert (meta["p"], meta["s"], meta["seed"]) == (0.5, 0, 0)
+
+
 def test_generate_needs_some_source(tmp_path, capsys):
     argv = ["generate", "--out", str(tmp_path / "x")]
     _assert_input_error(argv, capsys, tmp_path, "one of the arguments --n --cnf")

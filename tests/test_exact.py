@@ -1,7 +1,7 @@
 import ast
 import hashlib
 import inspect
-from collections import deque
+from collections import Counter, defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -163,7 +163,7 @@ def reference_bound(dag, alive=None) -> int:
     )
 
 
-def full_pack(dag) -> int:
+def full_pack(dag, owner=None, need=None) -> int:
     """The solver's packing over every arc of ``dag``, without the stars."""
     return _pack(
         dag,
@@ -172,6 +172,8 @@ def full_pack(dag) -> int:
         [dag.out_degree(v) for v in dag.vertices()],
         dag.out_off,
         dag.in_off,
+        owner,
+        need,
     )
 
 
@@ -184,6 +186,60 @@ def test_packing_equals_reference_packing_on_random_dags():
 
 def test_packing_equals_reference_packing_on_a_hard_cell():
     assert full_pack(HARD_CELL) == reference_bound(HARD_CELL) == 66
+
+
+def is_obstruction(arcs) -> bool:
+    """Whether the arc pairs are exactly two in-arcs into some v, a path
+    from v to some x (empty when x is v) and two out-arcs at x."""
+    ins, outs = Counter(w for _, w in arcs), Counter(u for u, _ in arcs)
+    entries = [w for w, k in ins.items() if k >= 2]
+    forks = [u for u, k in outs.items() if k >= 2]
+    if len(entries) != 1 or len(forks) != 1 or max(ins.values()) > 2 or max(outs.values()) > 2:
+        return False
+    v, x = entries[0], forks[0]
+    path = {u: w for u, w in arcs if w != v and u != x}
+    if len(path) + 4 != len(arcs):
+        return False
+    while v != x:
+        if v not in path:
+            return False
+        v = path.pop(v)
+    return not path
+
+
+def obstruction_groups(owner) -> dict:
+    """Arc ids by the number ``_pack`` recorded for them in ``owner``."""
+    groups = defaultdict(list)
+    for a, i in owner.items():
+        groups[i].append(a)
+    return groups
+
+
+def test_the_obstruction_checker():
+    assert is_obstruction([(0, 2), (1, 2), (2, 3), (2, 4)])
+    assert is_obstruction([(0, 2), (1, 2), (2, 5), (5, 6), (6, 3), (6, 4)])
+    assert not is_obstruction([(0, 2), (1, 2), (2, 5), (6, 3), (6, 4)])  # gap in the path
+    assert not is_obstruction([(0, 2), (1, 2), (2, 5), (5, 6), (6, 3)])  # one out-arc
+    assert not is_obstruction([(0, 2), (1, 2), (2, 3), (2, 4), (7, 8)])  # a stray arc
+    assert not is_obstruction([(0, 2), (1, 2), (9, 2), (2, 3), (2, 4)])  # three in-arcs
+
+
+def test_packing_records_its_obstructions_and_stops_at_need():
+    # The owner map splits into ``count`` arc-disjoint obstructions, and
+    # ``need`` cuts the count off exactly where it reaches ``need``.
+    rng = SplitMix64(2425)
+    stopped = 0
+    for _ in range(200):
+        dag = random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
+        owner = {}
+        count = full_pack(dag, owner)
+        groups = obstruction_groups(owner)
+        assert sorted(groups) == list(range(1, count + 1))
+        assert all(is_obstruction([dag.arcs[a] for a in ids]) for ids in groups.values())
+        for need in range(1, count + 3):
+            assert full_pack(dag, {}, need) == min(count, need)
+            stopped += need <= count
+    assert stopped == 2182
 
 
 def test_solver_bound_on_random_live_masks():
@@ -348,18 +404,30 @@ def _golden_dags():
     return [shuffled_random_dag(rng, 3 + rng.below(10), 40) for _ in range(200)]
 
 
+def _mask_bound(line: str) -> str:
+    """A trace line with the bound ``B`` of ``prune N+B`` masked."""
+    head, plus, _ = line.partition("+")
+    return head + "+B" if plus and line.startswith("prune ") else line
+
+
 def test_golden_traces_on_shuffled_random_dags():
-    # Every trace line of 200 seeded searches, hashed; the value was taken
-    # from the recursive solver, so the explicit stack must make the same
-    # moves in the same order.  The Solver runs directly: solve_addf would
-    # certify most of these at the root without a search.
-    digest = hashlib.sha256()
+    # Every trace line of 200 seeded searches, hashed.  With the bounds of
+    # the prune lines masked, the value was taken from the recursive solver
+    # and again before packings were reused, so the search must make the
+    # same moves in the same order.  The full digest pins the bounds too.
+    # The Solver runs directly: solve_addf would certify most of these at
+    # the root without a search.
+    digest, masked = hashlib.sha256(), hashlib.sha256()
     for dag in _golden_dags():
         lines = []
         Solver(dag, trace=lines.append).run()
         digest.update(("\n".join(lines) + "\n--\n").encode())
+        masked.update(("\n".join(map(_mask_bound, lines)) + "\n--\n").encode())
+    assert masked.hexdigest() == (
+        "86dec49649f622d43f3628d7ce79755f0b006025332489804339dd66cd888bf0"
+    )
     assert digest.hexdigest() == (
-        "172922240fa8c6130e1776f6a25a2d087496a763526e1dbad73eae1aff371fb8"
+        "ed3cbf126db13e7fca180da19802f75084049e3e07c4ef3a146cde353d0e141a"
     )
 
 
@@ -441,9 +509,10 @@ def _desk_row(n, p, s, rep):
     "row, distance, counters",
     [
         # (nodes, rr1, rr2, br1, br2, pruned, leaves), pinned from the
-        # tuple-set solver; any change to the search shows up here.
-        ((200, 0.85, 25, 2), 23, (45, 181, 571, 44, 0, 23, 0)),
-        ((200, 0.15, 25, 5), 17, (35, 193, 149, 34, 0, 18, 0)),
+        # tuple-set solver; any change to the search shows up here.  Then
+        # (packs, reused): fresh packings, and prunes on the parent's.
+        ((200, 0.85, 25, 2), 23, (45, 181, 571, 44, 0, 23, 0, 22, 9)),
+        ((200, 0.15, 25, 5), 17, (35, 193, 149, 34, 0, 18, 0, 17, 12)),
     ],
 )
 def test_golden_search_statistics(row, distance, counters):
@@ -454,7 +523,8 @@ def test_golden_search_statistics(row, distance, counters):
     assert result.distance == distance
     assert not stats.timed_out
     assert (
-        stats.nodes, stats.rr1, stats.rr2, stats.br1, stats.br2, stats.pruned, stats.leaves
+        stats.nodes, stats.rr1, stats.rr2, stats.br1, stats.br2, stats.pruned, stats.leaves,
+        stats.packs, stats.reused,
     ) == counters
 
 
@@ -474,18 +544,22 @@ class _Budget:
 
 
 @pytest.mark.parametrize(
-    "dag, budget, counters, digest",
+    "dag, budget, counters, masked, digest",
     [
-        # (nodes, rr1, rr2, br1, pruned, leaves, incumbent), pinned before
-        # the packing and the reduction were rewritten.
+        # (nodes, rr1, rr2, br1, pruned, leaves, incumbent) and the masked
+        # digest, pinned before the packing and the reduction were rewritten
+        # and again before packings were reused; the full digest pins the
+        # prune bounds too.
         (HARD_CELL, 400, (400, 377, 1936, 399, 190, 0, 81),
-         "45dca30dae023a2ae9c3a3f514397a61a6586c1b158486b42f3095d21bf4f659"),
+         "c19d36112837189a7e7923815c45f989ae220488aee80fc7da9674e307cd5897",
+         "6601ea782618c16ac2dffa1e089d5fce09609e7902f557412bf35812ae9a2336"),
         (DENSE_CELL, 200, (200, 424, 3179, 199, 96, 0, 117),
-         "579eecaac879acb2da45b1d5826dcc3b13222c1df20aec2b09997922e18990b3"),
+         "6cdba20e477c563a42da74a3dcf1c09769e10a77e021bc9c7e074e6edc358e34",
+         "e5b4919eab10923bbc60800ae72311010a63fe59d87076a0fa2d75bf51ac6fc0"),
     ],
     ids=["sparse", "dense"],
 )
-def test_golden_budgeted_searches_on_large_cells(dag, budget, counters, digest):
+def test_golden_budgeted_searches_on_large_cells(dag, budget, counters, masked, digest):
     # The first nodes of two n=250 cells: long and dense walks in the
     # packing, and keep-rule calls at live degree 2 and more, which the
     # small golden searches do not reach.
@@ -498,8 +572,53 @@ def test_golden_budgeted_searches_on_large_cells(dag, budget, counters, digest):
     assert (
         hook.nodes, *map(kinds.count, ("rr1", "rr2", "br1", "prune", "leaf")), incumbent
     ) == counters
+    text = "\n".join(map(_mask_bound, hook.lines)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == masked
     text = "\n".join(hook.lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_survivor_prunes_rest_on_live_disjoint_obstructions(monkeypatch):
+    # At every prune settled by the parent's packing, the parent's
+    # obstructions whose arcs are all still live are checked afresh: each
+    # is an obstruction, they share no arc, and they are the bound traced.
+    node, checked = Solver._node, []
+
+    def checking(self, v, mark, parent):
+        reused = self.stats.reused
+        branch = node(self, v, mark, parent)
+        if self.stats.reused > reused:
+            arcs, groups = self.dag.arcs, obstruction_groups(parent[1])
+            assert len(groups) == parent[0]
+            survivors = [ids for ids in groups.values() if all(self._alive[a] for a in ids)]
+            assert all(is_obstruction([arcs[a] for a in ids]) for ids in survivors)
+            assert self._trace.lines[-1] == f"prune {self._deleted}+{len(survivors)}"
+            assert self._deleted + len(survivors) >= self._cutoff
+            checked.append(len(survivors))
+        return branch
+
+    monkeypatch.setattr(Solver, "_node", checking)
+    for dag in _golden_dags():
+        Solver(dag, trace=_Budget(10**6)).run()
+    golden = len(checked)
+    with pytest.raises(_Stop):
+        Solver(DENSE_CELL, trace=_Budget(200)).run()
+    assert (golden, len(checked) - golden) == (20, 67)
+
+
+def test_solver_matches_the_labeling_oracle_on_shuffled_dags():
+    # The cross-check for solver speedups: the Solver's search (not the
+    # certified root of solve_addf) against the labeling oracle, and every
+    # deletion set leaves a funnel.
+    rng = SplitMix64(2412)
+    reused = 0
+    for _ in range(3000):
+        dag = shuffled_random_dag(rng, 2 + rng.below(11), 20 + rng.below(60))
+        result = Solver(dag).run()
+        assert result.distance == labeling_enumeration_addf(dag)
+        assert is_funnel_degree(delete_arcs(dag, result.deletion_set))
+        reused += result.stats.reused
+    assert reused == 1806
 
 
 def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
@@ -507,22 +626,30 @@ def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
     # first 50 nodes of the dense cell, partly deleted by the reductions.
     seen = []
 
-    def record(dag, alive, live_in, live_out, out_off, in_off):
+    # A packing that stopped at ``need`` is checked to reach it.
+    seen = []
+
+    def record(dag, alive, live_in, live_out, out_off, in_off, owner, need):
         assert (out_off, in_off) == (tuple(dag.out_off), tuple(dag.in_off))
-        seen.append((bytes(alive), list(live_in), list(live_out)))
-        return _pack(dag, alive, live_in, live_out, out_off, in_off)
+        bound = _pack(dag, alive, live_in, live_out, out_off, in_off, owner, need)
+        seen.append((bytes(alive), list(live_in), list(live_out), bound, need))
+        return bound
 
     monkeypatch.setattr(exact, "_pack", record)
     with pytest.raises(_Stop):
         Solver(DENSE_CELL, trace=_Budget(50)).run()
-    assert len(seen) >= 25
     dag = DENSE_CELL
-    for alive, live_in, live_out in seen:
+    completed = 0
+    for alive, live_in, live_out, bound, need in seen:
         live = {dag.arcs[a] for a in range(dag.arc_count) if alive[a]}
         assert live_in == [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
         assert live_out == [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
-        bound = _pack(dag, bytearray(alive), live_in, live_out, dag.out_off, dag.in_off)
-        assert bound == reference_bound(dag, live)
+        if bound < need:
+            completed += 1
+            assert bound == reference_bound(dag, live)
+        else:
+            assert bound == need <= reference_bound(dag, live)
+    assert (len(seen), completed) == (27, 24)
 
 
 def _guard_skips(dag, v, labels, alive) -> bool:
@@ -552,6 +679,7 @@ def test_the_keep_side_guard_skips_only_vertices_the_rule_leaves_alone():
                 assert doomed_arcs(dag, v, labels, alive) == []
         solver = Solver(dag)
         solver._labels[:], solver._alive[:] = labels, alive
+        solver._alive_in[:] = bytes(alive[a] for a in dag.in_ids)
         solver._live_in[:] = [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
         solver._live_out[:] = [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
         solver._reduce(None)
