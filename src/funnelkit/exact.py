@@ -40,34 +40,59 @@ approximation, the bound and the root's reductions run past it.
 Nodes are pruned against the incumbent (the caller's ``incumbent=``, else
 the approximation) using a certificate packing: arc-disjoint obstructions
 each force one deletion, so their count lower-bounds the remaining work.
-The public :func:`lower_bound` adds vertex stars (``min(in, out) - 1``
-deletions each) ahead of its packing; the search's nodes use packings
-alone, and pass them down.  A node that branches hands its packing, with
-the obstruction number of every arc it took, to both children.  A child's
-obstructions that lost no arc since are still live and arc-disjoint, so
-they bound it first, and when they reach the cutoff the child is pruned
-with no packing of its own.  Otherwise a child that deleted no arc keeps
-its parent's packing, which a fresh one would find again, and any other
-packs afresh, stopping once the count reaches the cutoff less the arcs
-deleted.  ``prune N+B`` traces the bound B that settled a prune: the
-survivors, or the fresh count at its stop.  The survivors are sound, so a
-completed search returns the same distance; on every search the tests pin
-they prune only nodes that a fresh packing prunes too, so those searches
-move node for node as with a fresh packing at every node.
+An obstruction is two in-arcs into a vertex, a live path from it, and two
+out-arcs at the path's end.  The public :func:`lower_bound` adds vertex
+stars (``min(in, out) - 1`` deletions each) ahead of its packing; the
+search's nodes use packings alone, and pass them down.
+
+A node keeps its packing as ``(count, owner, obs, state)``: ``obs`` lists
+each obstruction's arc ids by its number, ``owner`` gives the number by arc
+id, and ``state`` is where the greedy ended, the free arcs (live arcs no
+obstruction uses) as a mask with their in- and out-degrees.  A node that
+branches hands it to both children.  A child's obstructions that lost no
+arc since are still live and arc-disjoint, so they bound it first, and when
+they reach the cutoff the child is pruned with no packing of its own.  A
+child that deleted no arc keeps its parent's packing.  Any other repairs a
+copy: the deleted arcs leave the free state, the obstructions that lost an
+arc are dropped, and their arcs still live are free again, the released
+arcs.  The greedy then runs only from the released arcs' heads and tails
+and from the vertices whose chains (walks through vertices with one free
+out-arc) run into such a tail, in topological order, and stops once the
+count reaches the cutoff less the arcs deleted.  Only the root packs the
+whole graph.  ``prune N+B`` traces the bound B that settled a prune: the
+survivors, or the repaired count at its stop.
+
+A repaired packing is as sound and as maximal as a fresh one.  The
+parent's leaves no obstruction among its free arcs, and deleting arcs makes
+none, so every obstruction among the child's free arcs uses a released arc:
+its start is the head of one, or its chain runs into the tail of one.  Arcs
+only leave the free set during the greedy, so no vertex outside the starts
+ever gains an obstruction, and each start ends with none.  By induction
+from the root, every kept packing is a maximal set of live, pairwise
+arc-disjoint obstructions.  It need not be the one a fresh greedy finds,
+so bounds, prunes, node counts and traces differ from packing afresh at
+every node.  The answers do not: neither the reductions nor the branching
+rule reads the bound, and a sound prune cuts only subtrees with no leaf
+below the cutoff, so a completed search meets the same improving leaves in
+the same order and returns the same distance, set and labeling.  A kept
+state is a copy of the arc mask and two degree lists, about m + 16n bytes
+beside its obstructions; one is kept per branching node on the current
+path, shared by its two children on the stack.
 
 The live graph is a ``bytearray`` mask over the arc ids of the Dag's own
 tables, with a copy by in-arc position (``in_ids`` order) in which a
-vertex's live in-arcs are one slice.  A packing works on copies of the
-mask and of the live degrees.  A vertex short of a fork has at most one
-free out-arc, so the forward search is a walk, and ``bytearray.find``
-over a vertex's contiguous out-arc ids gives a walk's next arc and a fork's
-first two.  A hit retires the path, the fork's two out-arcs and the start's
-first two free in-arcs directly, with their degree updates.  When a walk
-fails, every vertex on it has at most one free out-arc, leading on to a
-dead end; free arcs only disappear during a packing, so none of them can
-ever reach a fork again.  The packing sets their free out-degree to 0, so
-later walks stop and fail at them: the count is that of a plain search and
-failing walks are linear work in total.
+vertex's live in-arcs are one slice.  A vertex short of a fork has at most
+one free out-arc, so the packing's forward search is a walk, and
+``bytearray.find`` over a vertex's contiguous out-arc ids gives a walk's
+next arc and a fork's first two.  A hit retires the path, the fork's two
+out-arcs and the start's first two free in-arcs directly, with their
+degree updates.  When a walk fails, every vertex on it has at most one free
+out-arc, leading on to a dead end; free arcs only disappear during a
+packing, so none of them can ever reach a fork again.  The packing marks
+them dead in a ``bytearray`` of its own, so later walks stop and fail at
+them: the count is that of a plain search, failing walks are linear work in
+total, and the degrees it leaves behind are true counts for a child to
+repair.
 """
 
 from __future__ import annotations
@@ -138,37 +163,42 @@ def _degrees(off) -> list[int]:
     return list(map(sub, islice(off, 1, None), off))
 
 
-def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off, owner=None, need=None) -> int:
-    """Greedy obstruction count over the arcs set in ``alive``.
+def _pack(
+    dag: Dag, free, free_in, free_out, out_off, in_off, owner=None, obs=None, need=None,
+    starts=None,
+) -> int:
+    """Greedy obstruction count over the arcs set in ``free``.
 
-    ``live_in``/``live_out`` are the live degrees, and ``out_off``/``in_off``
-    the Dag's offset tables or the solver's tuple copies of them.  A hit
-    takes the first two free in-arcs and out-arcs in id order, so the count
-    depends only on the graph and the mask.  ``owner``, when given, maps
-    every arc a hit takes to the hit's number (1, 2, ...).  The count stops
-    early, and is returned, once it reaches ``need``.
+    ``free`` is a mask over arc ids and ``free_in``/``free_out`` its
+    degrees.  A hit takes its arcs out of all three, in place, and is
+    recorded in ``obs`` (its arc ids by number, numbered on from the largest
+    there) and ``owner`` (its number by arc id).  ``out_off``/``in_off`` are
+    the Dag's offset tables or the solver's tuple copies of them.  The
+    greedy starts from ``starts`` in order, else from every vertex in
+    topological order, and a hit takes the first two free in-arcs and
+    out-arcs in id order, so the count depends only on the graph, the mask
+    and the starts.  It starts at ``len(obs)`` and stops early, and is
+    returned, once it reaches ``need``.
     """
     tails, heads, in_ids = dag.tails, dag.heads, dag.in_ids
     if owner is None:
-        owner = {}
-    free = bytearray(alive)
+        owner, obs = {}, {}
     find = free.find
-    free_in = list(live_in)
-    free_out = list(live_out)  # 0 at a dead vertex: it can never reach a fork
-    count = 0
-    for v in dag.topo_order:
-        while free_in[v] >= 2 and free_out[v] > 0:
+    dead = bytearray(len(free_in))  # a walk from here runs into a dead end
+    count, number = len(obs), max(obs, default=0)
+    for v in dag.topo_order if starts is None else starts:
+        while free_in[v] >= 2 and free_out[v] > 0 and not dead[v]:
             # Short of a fork a vertex has at most one free out-arc, so the
             # forward search is a walk along a single path.
             x, path = v, []
-            while free_out[x] == 1:
+            while free_out[x] == 1 and not dead[x]:
                 a = find(1, out_off[x])
                 path.append(a)
                 x = heads[a]
             if free_out[x] < 2:
-                free_out[v] = 0
+                dead[v] = 1
                 for a in path:
-                    free_out[heads[a]] = 0
+                    dead[heads[a]] = 1
                 break
             count += 1
             if count == need:
@@ -177,11 +207,10 @@ def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off, owner=None, need=
                 free[a] = 0
                 free_out[tails[a]] = 0
                 free_in[heads[a]] -= 1
-                owner[a] = count
             a = find(1, out_off[x])
             b = find(1, a + 1)
             free[a] = free[b] = 0
-            owner[a] = owner[b] = count
+            path += a, b
             free_out[x] -= 2
             free_in[heads[a]] -= 1
             free_in[heads[b]] -= 1
@@ -190,12 +219,57 @@ def _pack(dag: Dag, alive, live_in, live_out, out_off, in_off, owner=None, need=
             for a in in_ids[in_off[v] : in_off[v + 1]]:
                 if free[a]:
                     free[a] = 0
-                    owner[a] = count
                     free_out[tails[a]] -= 1
+                    path.append(a)
                     taken += 1
                     if taken == 2:
                         break
+            number += 1
+            obs[number] = path
+            owner.update(dict.fromkeys(path, number))
     return count
+
+
+def _repair(dag: Dag, packing, deleted, lost, alive, in_off, position):
+    """A child's start from its parent's ``packing``: (owner, obs, state, starts).
+
+    The parent's state is copied and the ``deleted`` arcs still free leave
+    it.  The ``lost`` obstructions leave ``owner`` and ``obs``, and their
+    arcs still set in ``alive`` are free again: the released arcs.  Every
+    new obstruction uses one, so the greedy starts only from the heads of
+    the released arcs, their tails, and the vertices whose chains of single
+    free out-arcs run into a tail, in topological order (``position`` maps a
+    vertex to its place in it).
+    """
+    _, owner, obs, (free, free_in, free_out) = packing
+    tails, heads, in_ids, in_tails = dag.tails, dag.heads, dag.in_ids, dag.in_tails
+    free, free_in, free_out = bytearray(free), free_in.copy(), free_out.copy()
+    for a in deleted:
+        if free[a]:
+            free[a] = 0
+            free_out[tails[a]] -= 1
+            free_in[heads[a]] -= 1
+    owner, obs = owner.copy(), obs.copy()
+    starts, walk = set(), []
+    for i in lost:
+        for a in obs.pop(i):
+            del owner[a]
+            if alive[a]:
+                free[a] = 1
+                free_out[tails[a]] += 1
+                free_in[heads[a]] += 1
+                starts.add(heads[a])
+                walk.append(tails[a])
+    chained = set(walk)
+    while walk:
+        w = walk.pop()
+        lo, hi = in_off[w], in_off[w + 1]
+        for a, u in zip(in_ids[lo:hi], in_tails[lo:hi]):
+            if free[a] and free_out[u] == 1 and u not in chained:
+                chained.add(u)
+                walk.append(u)
+    starts |= chained
+    return owner, obs, (free, free_in, free_out), sorted(starts, key=position.__getitem__)
 
 
 @dataclass
@@ -207,8 +281,9 @@ class SolverStats:
     br2: int = 0  # arc-keep branches; label branching alone finishes, so 0
     pruned: int = 0
     leaves: int = 0
-    packs: int = 0  # fresh packings run
+    packs: int = 0  # packings computed at nodes, repairs included
     reused: int = 0  # prunes settled by the parent's surviving obstructions
+    repairs: int = 0  # packings repaired from the parent's kept state
     timed_out: bool = False
     lower_bound: Optional[int] = None  # the root's lower_bound, set by solve_addf
     lower_bound_ms: float = 0.0  # the time it took
@@ -252,6 +327,9 @@ class Solver:
             self._in_pos[a] = j
         self._live_in = _degrees(dag.in_off)
         self._live_out = _degrees(dag.out_off)
+        # Each vertex's place in the topological order (the inverse
+        # permutation), by which a repair sorts its starts.
+        self._position = sorted(dag.vertices(), key=dag.topo_order.__getitem__)
         # Reading an array('i') makes an int object; the per-node kernel reads
         # the offsets from tuples, whose ints exist already.
         self._offsets = tuple(dag.out_off), tuple(dag.in_off)
@@ -374,14 +452,15 @@ class Solver:
             if doomed_arcs(self.dag, v, self._labels, self._alive):
                 raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
-    def _node(self, v: Optional[int], mark: int, parent: Optional[tuple[int, dict]]):
+    def _node(self, v: Optional[int], mark: int, parent: Optional[tuple]):
         """Reduce from the vertex ``v`` just labeled (None at the root), then
         prune or record a leaf; the vertex to branch on and this node's
         packing, or None.
 
-        ``parent`` is the packing ``(count, owner)`` of the node that branched
-        on ``v`` and ``mark`` the trail length before ``v``'s label; the
-        module docstring says how the packing is reused."""
+        ``parent`` is the packing ``(count, owner, obs, state)`` of the node
+        that branched on ``v`` and ``mark`` the trail length before ``v``'s
+        label; the module docstring says how the packing is reused and
+        repaired."""
         stats, trace = self.stats, self._trace
         stats.nodes += 1
         self._reduce(v)
@@ -393,21 +472,29 @@ class Solver:
             return None
         bound, packing = 0, parent
         if parent is not None:
-            count, owner = parent
+            owner = parent[1]
             deleted = [a for a in self._trail[mark:] if a >= 0]
-            bound = count - len({owner[a] for a in deleted if a in owner})
+            lost = {owner[a] for a in deleted if a in owner}
+            bound = parent[0] - len(lost)
             if deleted:
                 packing = None
         if size + bound >= cutoff:
             stats.reused += 1
         elif packing is None:
-            owner = {}
             stats.packs += 1
+            if parent is None:
+                owner, obs, starts = {}, {}, None
+                state = bytearray(self._alive), self._live_in.copy(), self._live_out.copy()
+            else:
+                stats.repairs += 1
+                owner, obs, state, starts = _repair(
+                    self.dag, parent, deleted, lost, self._alive, self._offsets[1],
+                    self._position,
+                )
             bound = _pack(
-                self.dag, self._alive, self._live_in, self._live_out, *self._offsets,
-                owner, cutoff - size,
+                self.dag, *state, *self._offsets, owner, obs, cutoff - size, starts
             )
-            packing = bound, owner
+            packing = bound, owner, obs, state
         if size + bound >= cutoff:
             stats.pruned += 1
             if trace is not None:
@@ -437,7 +524,7 @@ class Solver:
     def run(self) -> ExactResult:
         """Depth-first search from a stack of (trail mark, vertex, label,
         parent packing)."""
-        stack: list[tuple[int, int, Label, tuple[int, dict]]] = []
+        stack: list[tuple[int, int, Label, tuple]] = []
         branch = self._node(None, 0, None)
         while True:
             if branch is not None:

@@ -46,6 +46,9 @@ from funnelkit import (
 _cache: dict[str, object] = {}
 
 DESK_CSV_SHA256 = "c643eaff4cf16645f64e0c8b68281f0308307dda049646cd8a3b43ca2b75abfd"
+# The desk CSV of grid seed 3, whose searches prune on the node bound: a
+# bound that moved an answer would change it.
+DESK_CSV_SHA256_SEED_3 = "e355d5475973f6f5f5530c2522e2fc99d75853297cc5b5cfe5e912ea34d99f7b"
 # Desk rows of grid seed 1 whose lower bound meets the approximation, so
 # that bench reports them optimal without a search.
 DESK_CERTIFIED = 201
@@ -352,6 +355,8 @@ def test_criterion_8_desk_grid_and_linear_time():
     # The desk CSV of grid seed 1, byte for byte.
     csv_sha = hashlib.sha256(write_csv(reports).encode()).hexdigest()
     assert csv_sha == DESK_CSV_SHA256
+    csv_sha = hashlib.sha256(write_csv(run_grid(GridSpec(seed=3))).encode()).hexdigest()
+    assert csv_sha == DESK_CSV_SHA256_SEED_3
 
     # linear-time sanity: a hundred-thousand-vertex instance in < 2 s
     funnel, _ = generate_planted_funnel(

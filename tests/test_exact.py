@@ -163,7 +163,7 @@ def reference_bound(dag, alive=None) -> int:
     )
 
 
-def full_pack(dag, owner=None, need=None) -> int:
+def full_pack(dag, owner=None, obs=None, need=None) -> int:
     """The solver's packing over every arc of ``dag``, without the stars."""
     return _pack(
         dag,
@@ -173,6 +173,7 @@ def full_pack(dag, owner=None, need=None) -> int:
         dag.out_off,
         dag.in_off,
         owner,
+        obs,
         need,
     )
 
@@ -231,13 +232,16 @@ def test_packing_records_its_obstructions_and_stops_at_need():
     stopped = 0
     for _ in range(200):
         dag = random_dag(rng, 2 + rng.below(39), 5 + rng.below(50))
-        owner = {}
-        count = full_pack(dag, owner)
+        owner, obs = {}, {}
+        count = full_pack(dag, owner, obs)
         groups = obstruction_groups(owner)
         assert sorted(groups) == list(range(1, count + 1))
+        assert {i: sorted(ids) for i, ids in obs.items()} == {
+            i: sorted(ids) for i, ids in groups.items()
+        }
         assert all(is_obstruction([dag.arcs[a] for a in ids]) for ids in groups.values())
         for need in range(1, count + 3):
-            assert full_pack(dag, {}, need) == min(count, need)
+            assert full_pack(dag, {}, {}, need) == min(count, need)
             stopped += need <= count
     assert stopped == 2182
 
@@ -413,10 +417,11 @@ def _mask_bound(line: str) -> str:
 def test_golden_traces_on_shuffled_random_dags():
     # Every trace line of 200 seeded searches, hashed.  With the bounds of
     # the prune lines masked, the value was taken from the recursive solver
-    # and again before packings were reused, so the search must make the
-    # same moves in the same order.  The full digest pins the bounds too.
-    # The Solver runs directly: solve_addf would certify most of these at
-    # the root without a search.
+    # and again before packings were reused; it moved once, when children
+    # began to repair their parent's packing instead of packing afresh, a
+    # packing as sound and as maximal that prunes other nodes.  The full
+    # digest pins the bounds too.  The Solver runs directly: solve_addf
+    # would certify most of these at the root without a search.
     digest, masked = hashlib.sha256(), hashlib.sha256()
     for dag in _golden_dags():
         lines = []
@@ -424,10 +429,10 @@ def test_golden_traces_on_shuffled_random_dags():
         digest.update(("\n".join(lines) + "\n--\n").encode())
         masked.update(("\n".join(map(_mask_bound, lines)) + "\n--\n").encode())
     assert masked.hexdigest() == (
-        "86dec49649f622d43f3628d7ce79755f0b006025332489804339dd66cd888bf0"
+        "893e99522ed678883c0f883ee75d086741fca7dfc4133f09230a986a9e55637d"
     )
     assert digest.hexdigest() == (
-        "ed3cbf126db13e7fca180da19802f75084049e3e07c4ef3a146cde353d0e141a"
+        "2fbd8cd54276233c676665c74429f01c2726789c0b1960044d505c3abf354d42"
     )
 
 
@@ -510,9 +515,10 @@ def _desk_row(n, p, s, rep):
     [
         # (nodes, rr1, rr2, br1, br2, pruned, leaves), pinned from the
         # tuple-set solver; any change to the search shows up here.  Then
-        # (packs, reused): fresh packings, and prunes on the parent's.
-        ((200, 0.85, 25, 2), 23, (45, 181, 571, 44, 0, 23, 0, 22, 9)),
-        ((200, 0.15, 25, 5), 17, (35, 193, 149, 34, 0, 18, 0, 17, 12)),
+        # (packs, reused, repairs): packings at nodes, prunes on the
+        # parent's survivors, and the packings repaired from a parent's.
+        ((200, 0.85, 25, 2), 23, (45, 181, 571, 44, 0, 23, 0, 22, 9, 21)),
+        ((200, 0.15, 25, 5), 17, (35, 193, 149, 34, 0, 18, 0, 17, 12, 16)),
     ],
 )
 def test_golden_search_statistics(row, distance, counters):
@@ -524,7 +530,7 @@ def test_golden_search_statistics(row, distance, counters):
     assert not stats.timed_out
     assert (
         stats.nodes, stats.rr1, stats.rr2, stats.br1, stats.br2, stats.pruned, stats.leaves,
-        stats.packs, stats.reused,
+        stats.packs, stats.reused, stats.repairs,
     ) == counters
 
 
@@ -549,10 +555,11 @@ class _Budget:
         # (nodes, rr1, rr2, br1, pruned, leaves, incumbent) and the masked
         # digest, pinned before the packing and the reduction were rewritten
         # and again before packings were reused; the full digest pins the
-        # prune bounds too.
-        (HARD_CELL, 400, (400, 377, 1936, 399, 190, 0, 81),
-         "c19d36112837189a7e7923815c45f989ae220488aee80fc7da9674e307cd5897",
-         "6601ea782618c16ac2dffa1e089d5fce09609e7902f557412bf35812ae9a2336"),
+        # prune bounds too.  The sparse cell moved when children began to
+        # repair their parent's packing; the dense one did not.
+        (HARD_CELL, 400, (400, 352, 1918, 399, 189, 0, 81),
+         "3c351a2e2683a961bd6c8a8754014cb0861679b3688c1fc3478602fb8da4f037",
+         "82c38460c6809940640f0e4d2e5ecab070e04fe54c71e100422b55f12cc1ca7c"),
         (DENSE_CELL, 200, (200, 424, 3179, 199, 96, 0, 117),
          "6cdba20e477c563a42da74a3dcf1c09769e10a77e021bc9c7e074e6edc358e34",
          "e5b4919eab10923bbc60800ae72311010a63fe59d87076a0fa2d75bf51ac6fc0"),
@@ -588,9 +595,10 @@ def test_survivor_prunes_rest_on_live_disjoint_obstructions(monkeypatch):
         reused = self.stats.reused
         branch = node(self, v, mark, parent)
         if self.stats.reused > reused:
-            arcs, groups = self.dag.arcs, obstruction_groups(parent[1])
-            assert len(groups) == parent[0]
-            survivors = [ids for ids in groups.values() if all(self._alive[a] for a in ids)]
+            count, _, obs, _ = parent
+            arcs = self.dag.arcs
+            assert len(obs) == count
+            survivors = [ids for ids in obs.values() if all(self._alive[a] for a in ids)]
             assert all(is_obstruction([arcs[a] for a in ids]) for ids in survivors)
             assert self._trace.lines[-1] == f"prune {self._deleted}+{len(survivors)}"
             assert self._deleted + len(survivors) >= self._cutoff
@@ -603,7 +611,7 @@ def test_survivor_prunes_rest_on_live_disjoint_obstructions(monkeypatch):
     golden = len(checked)
     with pytest.raises(_Stop):
         Solver(DENSE_CELL, trace=_Budget(200)).run()
-    assert (golden, len(checked) - golden) == (20, 67)
+    assert (golden, len(checked) - golden) == (21, 67)
 
 
 def test_solver_matches_the_labeling_oracle_on_shuffled_dags():
@@ -618,38 +626,144 @@ def test_solver_matches_the_labeling_oracle_on_shuffled_dags():
         assert result.distance == labeling_enumeration_addf(dag)
         assert is_funnel_degree(delete_arcs(dag, result.deletion_set))
         reused += result.stats.reused
-    assert reused == 1806
+    assert reused == 1815
 
 
 def test_packing_on_the_live_masks_of_a_real_search(monkeypatch):
-    # The masks and live degrees that the solver hands to the packing at the
-    # first 50 nodes of the dense cell, partly deleted by the reductions.
+    # The masks and degrees that the solver hands to the packing at the
+    # first 50 nodes of the dense cell, partly deleted by the reductions:
+    # every one's degrees are its mask's.  The root packs the live arcs
+    # afresh, so it equals the reference greedy on them, or reaches ``need``
+    # where it stopped there.  A repaired packing is another maximal packing
+    # of the same arcs, not the fresh greedy's, so the certificate test
+    # checks those instead.
     seen = []
 
-    # A packing that stopped at ``need`` is checked to reach it.
-    seen = []
-
-    def record(dag, alive, live_in, live_out, out_off, in_off, owner, need):
+    def record(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts):
         assert (out_off, in_off) == (tuple(dag.out_off), tuple(dag.in_off))
-        bound = _pack(dag, alive, live_in, live_out, out_off, in_off, owner, need)
-        seen.append((bytes(alive), list(live_in), list(live_out), bound, need))
+        mask = bytes(free), list(free_in), list(free_out)
+        bound = _pack(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts)
+        seen.append((*mask, bound, need, starts is None))
         return bound
 
     monkeypatch.setattr(exact, "_pack", record)
     with pytest.raises(_Stop):
         Solver(DENSE_CELL, trace=_Budget(50)).run()
     dag = DENSE_CELL
-    completed = 0
-    for alive, live_in, live_out, bound, need in seen:
-        live = {dag.arcs[a] for a in range(dag.arc_count) if alive[a]}
-        assert live_in == [sum(alive[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
-        assert live_out == [sum(alive[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
-        if bound < need:
-            completed += 1
-            assert bound == reference_bound(dag, live)
-        else:
-            assert bound == need <= reference_bound(dag, live)
-    assert (len(seen), completed) == (27, 24)
+    roots = 0
+    for free, free_in, free_out, bound, need, root in seen:
+        assert free_in == [sum(free[a] for a in dag.in_arcs(v)) for v in dag.vertices()]
+        assert free_out == [sum(free[a] for a in dag.out_arcs(v)) for v in dag.vertices()]
+        if root:
+            roots += 1
+            live = {dag.arcs[a] for a in range(dag.arc_count) if free[a]}
+            if bound < need:
+                assert bound == reference_bound(dag, live)
+            else:
+                assert bound == need <= reference_bound(dag, live)
+    assert (len(seen), roots) == (27, 1)
+
+
+# ---- repaired packings ----
+
+
+def check_packing(dag, alive, owner, obs, state, complete) -> None:
+    """A node's packing against checkers that share no code with ``_pack``.
+
+    Its obstructions are live, pairwise arc-disjoint obstructions, ``owner``
+    numbers their arcs as ``obs`` lists them, and the state ``(free, free_in,
+    free_out)`` is the live arcs they leave, with recounted degrees.  A
+    ``complete`` packing is maximal: the arcs it leaves hold no obstruction.
+    """
+    free, free_in, free_out = state
+    used = [a for ids in obs.values() for a in ids]
+    assert len(used) == len(set(used))
+    assert all(alive[a] for a in used)
+    assert all(is_obstruction([dag.arcs[a] for a in ids]) for ids in obs.values())
+    assert owner == {a: i for i, ids in obs.items() for a in ids}
+    rest = {a for a in range(dag.arc_count) if alive[a]} - set(used)
+    assert [a for a in range(dag.arc_count) if free[a]] == sorted(rest)
+    assert free_in == [sum(a in rest for a in dag.in_arcs(v)) for v in dag.vertices()]
+    assert free_out == [sum(a in rest for a in dag.out_arcs(v)) for v in dag.vertices()]
+    if complete:
+        assert reference_bound(dag, {dag.arcs[a] for a in rest}) == 0
+
+
+def test_every_packing_of_a_search_is_a_certificate(monkeypatch):
+    # Every packing a node computes, the root's and every repair, is checked
+    # on the live mask it was computed for: shuffled DAGs searched to the
+    # end, then the first 200 nodes of the two n=250 cells.
+    solver, kinds = None, Counter()
+
+    def checked(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts):
+        bound = _pack(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts)
+        assert bound == len(obs) + (bound == need)
+        check_packing(dag, solver._alive, owner, obs, (free, free_in, free_out), bound < need)
+        kinds["root" if starts is None else "repair", bound < need] += 1
+        return bound
+
+    monkeypatch.setattr(exact, "_pack", checked)
+    rng = SplitMix64(2525)
+    searches = [
+        (shuffled_random_dag(rng, 2 + rng.below(11), 20 + rng.below(60)), None)
+        for _ in range(1500)
+    ] + [(HARD_CELL, _Budget(200)), (DENSE_CELL, _Budget(200))]
+    packs = repairs = stopped = 0
+    for dag, budget in searches:
+        solver = Solver(dag, trace=budget)
+        try:
+            solver.run()
+        except _Stop:
+            stopped += 1
+        packs += solver.stats.packs
+        repairs += solver.stats.repairs
+    # Packings by (kind, complete): an incomplete one stopped where it
+    # reached ``need``.  The stats count every packing and every repair.
+    assert kinds == {
+        ("root", True): 305, ("root", False): 336,
+        ("repair", True): 1273, ("repair", False): 307,
+    }
+    assert (packs, repairs, stopped) == (2221, 1580, 2)
+
+
+def test_a_repair_walks_the_chains_into_a_released_tail():
+    # The parent's packing is the one obstruction 2,5 -> 6 -> 8,9, and it
+    # is maximal: the chain 3 -> 4 -> 5 -> 7 from the two in-arcs of 3 dies
+    # at the sink 7.  Deleting 2->6 loses it and releases 5->6, 6->8 and
+    # 6->9, so 5 forks, and the one new obstruction starts at 3, two chain
+    # hops above the tail 5 of the released 5->6.  A repair that started
+    # only from the released arcs' heads and tails would miss it.
+    dag = Dag(10, [(0, 3), (1, 3), (3, 4), (4, 5), (5, 6), (5, 7), (2, 6), (6, 8), (6, 9)])
+    assert dag.topo_order == tuple(range(10))
+    ids = {arc: a for a, arc in enumerate(dag.arcs)}
+    held = [ids[arc] for arc in ((5, 6), (2, 6), (6, 8), (6, 9))]
+    alive = bytearray(b"\x01") * dag.arc_count
+    free = bytearray(alive)
+    for a in held:
+        free[a] = 0
+
+    def degrees(mask):
+        return (
+            [sum(mask[a] for a in dag.in_arcs(v)) for v in dag.vertices()],
+            [sum(mask[a] for a in dag.out_arcs(v)) for v in dag.vertices()],
+        )
+
+    parent = 1, dict.fromkeys(held, 1), {1: held}, (free, *degrees(free))
+    check_packing(dag, alive, *parent[1:], complete=True)
+    alive[ids[(2, 6)]] = 0
+    owner, obs, state, starts = exact._repair(
+        dag, parent, [ids[(2, 6)]], {1}, alive, dag.in_off, list(range(10))
+    )
+    assert (owner, obs, starts) == ({}, {}, [0, 1, 3, 4, 5, 6, 8, 9])
+    check_packing(dag, alive, owner, obs, state, complete=False)
+    # From the released arcs' heads and tails alone the greedy finds nothing
+    # and leaves an obstruction among the free arcs.
+    plain = bytearray(state[0]), list(state[1]), list(state[2])
+    assert _pack(dag, *plain, dag.out_off, dag.in_off, {}, {}, None, [5, 6, 8, 9]) == 0
+    assert reference_bound(dag, {dag.arcs[a] for a in range(dag.arc_count) if plain[0][a]}) == 1
+    assert _pack(dag, *state, dag.out_off, dag.in_off, owner, obs, None, starts) == 1
+    assert obs == {1: [ids[arc] for arc in ((3, 4), (4, 5), (5, 6), (5, 7), (0, 3), (1, 3))]}
+    check_packing(dag, alive, owner, obs, state, complete=True)
 
 
 def _guard_skips(dag, v, labels, alive) -> bool:
