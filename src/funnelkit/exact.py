@@ -26,8 +26,9 @@ Undoing a child restores the parent's reduced state, so this holds at every
 node, not only the root.  The claim is re-checked at every leaf.
 
 The search is depth-first from an explicit stack of (trail mark, vertex,
-label) entries, Fork child first; popping one undoes the trail to its mark,
-so the Python stack stays flat however deep the search goes.
+label, packing) entries, Fork child first, whose packing is the branching
+node's; popping one undoes the trail to its mark, so the Python stack stays
+flat however deep the search goes.
 
 :func:`solve_addf` is the one entry point.  It takes the incumbent (the
 caller's ``incumbent=``, else the approximation), then :func:`lower_bound`
@@ -45,22 +46,26 @@ out-arcs at the path's end.  The public :func:`lower_bound` adds vertex
 stars (``min(in, out) - 1`` deletions each) ahead of its packing; the
 search's nodes use packings alone, and pass them down.
 
-A node keeps its packing as ``(count, owner, obs, state)``: ``obs`` lists
-each obstruction's arc ids by its number, ``owner`` gives the number by arc
-id, and ``state`` is where the greedy ended, the free arcs (live arcs no
-obstruction uses) as a mask with their in- and out-degrees.  A node that
-branches hands it to both children.  A child's obstructions that lost no
-arc since are still live and arc-disjoint, so they bound it first, and when
-they reach the cutoff the child is pruned with no packing of its own.  A
-child that deleted no arc keeps its parent's packing.  Any other repairs a
-copy: the deleted arcs leave the free state, the obstructions that lost an
-arc are dropped, and their arcs still live are free again, the released
-arcs.  The greedy then runs only from the released arcs' heads and tails
-and from the vertices whose chains (walks through vertices with one free
-out-arc) run into such a tail, in topological order, and stops once the
-count reaches the cutoff less the arcs deleted.  Only the root packs the
-whole graph.  ``prune N+B`` traces the bound B that settled a prune: the
-survivors, or the repaired count at its stop.
+A node keeps its packing as the record ``(owner, obs, free, free_in,
+free_out)``: ``obs`` lists each obstruction's arc ids by its number,
+``owner`` gives the number by arc id, and the rest is where the greedy
+ended, the free arcs (live arcs no obstruction uses) as a mask with their
+in- and out-degrees.  A greedy stopped at the cutoff prunes its node, so a
+kept packing is complete and its bound is ``len(obs)``.  Only
+:meth:`Solver._bound` builds or reads the record; :func:`_pack` fills its
+parts.  A node that branches hands it to both children.  A child's
+obstructions that lost no arc since are still live and arc-disjoint, so
+they bound it first, and when they reach the cutoff the child is pruned
+with no packing of its own.  A child that deleted no arc keeps its parent's
+packing.  Any other repairs a copy: the deleted arcs leave the free state,
+the obstructions that lost an arc are dropped, and their arcs still live
+are free again, the released arcs.  The greedy then runs only from the
+released arcs' heads and tails and from the vertices whose chains (walks
+through vertices with one free out-arc) run into such a tail, in
+topological order, and stops once the count reaches the cutoff less the
+arcs deleted.  Only the root packs the whole graph.  ``prune N+B`` traces
+the bound B that settled a prune: the survivors, or the repaired count at
+its stop.
 
 A repaired packing is as sound and as maximal as a fresh one.  The
 parent's leaves no obstruction among its free arcs, and deleting arcs makes
@@ -127,7 +132,7 @@ def lower_bound(dag: Dag) -> int:
     alive = bytearray(b"\x01") * dag.arc_count
     live_in, live_out = _degrees(dag.in_off), _degrees(dag.out_off)
     stars = _stars(dag, alive, live_in, live_out)
-    return stars + _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off)
+    return stars + _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off, {}, {})
 
 
 def _stars(dag: Dag, alive, live_in, live_out) -> int:
@@ -164,8 +169,7 @@ def _degrees(off) -> list[int]:
 
 
 def _pack(
-    dag: Dag, free, free_in, free_out, out_off, in_off, owner=None, obs=None, need=None,
-    starts=None,
+    dag: Dag, free, free_in, free_out, out_off, in_off, owner, obs, need=None, starts=None
 ) -> int:
     """Greedy obstruction count over the arcs set in ``free``.
 
@@ -181,8 +185,6 @@ def _pack(
     returned, once it reaches ``need``.
     """
     tails, heads, in_ids = dag.tails, dag.heads, dag.in_ids
-    if owner is None:
-        owner, obs = {}, {}
     find = free.find
     dead = bytearray(len(free_in))  # a walk from here runs into a dead end
     count, number = len(obs), max(obs, default=0)
@@ -228,48 +230,6 @@ def _pack(
             obs[number] = path
             owner.update(dict.fromkeys(path, number))
     return count
-
-
-def _repair(dag: Dag, packing, deleted, lost, alive, in_off, position):
-    """A child's start from its parent's ``packing``: (owner, obs, state, starts).
-
-    The parent's state is copied and the ``deleted`` arcs still free leave
-    it.  The ``lost`` obstructions leave ``owner`` and ``obs``, and their
-    arcs still set in ``alive`` are free again: the released arcs.  Every
-    new obstruction uses one, so the greedy starts only from the heads of
-    the released arcs, their tails, and the vertices whose chains of single
-    free out-arcs run into a tail, in topological order (``position`` maps a
-    vertex to its place in it).
-    """
-    _, owner, obs, (free, free_in, free_out) = packing
-    tails, heads, in_ids, in_tails = dag.tails, dag.heads, dag.in_ids, dag.in_tails
-    free, free_in, free_out = bytearray(free), free_in.copy(), free_out.copy()
-    for a in deleted:
-        if free[a]:
-            free[a] = 0
-            free_out[tails[a]] -= 1
-            free_in[heads[a]] -= 1
-    owner, obs = owner.copy(), obs.copy()
-    starts, walk = set(), []
-    for i in lost:
-        for a in obs.pop(i):
-            del owner[a]
-            if alive[a]:
-                free[a] = 1
-                free_out[tails[a]] += 1
-                free_in[heads[a]] += 1
-                starts.add(heads[a])
-                walk.append(tails[a])
-    chained = set(walk)
-    while walk:
-        w = walk.pop()
-        lo, hi = in_off[w], in_off[w + 1]
-        for a, u in zip(in_ids[lo:hi], in_tails[lo:hi]):
-            if free[a] and free_out[u] == 1 and u not in chained:
-                chained.add(u)
-                walk.append(u)
-    starts |= chained
-    return owner, obs, (free, free_in, free_out), sorted(starts, key=position.__getitem__)
 
 
 @dataclass
@@ -452,15 +412,66 @@ class Solver:
             if doomed_arcs(self.dag, v, self._labels, self._alive):
                 raise RuntimeError(f"leaf where vertex {v} keeps a doomed arc")
 
+    def _bound(self, parent: Optional[tuple], mark: int, need: int) -> tuple:
+        """This node's packing bound, stopped at ``need``, and its packing.
+
+        ``parent`` is the packing of the node that branched (None at the
+        root) and ``mark`` the trail length before this node's label.  The
+        root packs its live arcs from every vertex.  A child whose parent's
+        survivors reach ``need`` returns them with no packing, one whose
+        trail since ``mark`` holds no arc returns ``parent`` itself, and any
+        other repairs a copy, as the module docstring says.
+        """
+        stats, dag = self.stats, self.dag
+        if parent is None:
+            owner, obs, starts = {}, {}, None
+            free, free_in, free_out = bytearray(self._alive), self._live_in[:], self._live_out[:]
+        else:
+            owner, obs, free, free_in, free_out = parent
+            deleted = [a for a in self._trail[mark:] if a >= 0]
+            lost = {owner[a] for a in deleted if a in owner}
+            survivors = len(obs) - len(lost)
+            if survivors >= need:
+                stats.reused += 1
+                return survivors, None
+            if not deleted:
+                return survivors, parent
+            stats.repairs += 1
+            tails, heads, in_ids, in_tails = dag.tails, dag.heads, dag.in_ids, dag.in_tails
+            free, free_in, free_out = bytearray(free), free_in.copy(), free_out.copy()
+            for a in deleted:
+                if free[a]:
+                    free[a] = 0
+                    free_out[tails[a]] -= 1
+                    free_in[heads[a]] -= 1
+            owner, obs = owner.copy(), obs.copy()
+            starts, walk = set(), []
+            for i in lost:
+                for a in obs.pop(i):
+                    del owner[a]
+                    if self._alive[a]:
+                        free[a] = 1
+                        free_out[tails[a]] += 1
+                        free_in[heads[a]] += 1
+                        starts.add(heads[a])
+                        walk.append(tails[a])
+            chained, in_off = set(walk), self._offsets[1]
+            while walk:
+                w = walk.pop()
+                lo, hi = in_off[w], in_off[w + 1]
+                for a, u in zip(in_ids[lo:hi], in_tails[lo:hi]):
+                    if free[a] and free_out[u] == 1 and u not in chained:
+                        chained.add(u)
+                        walk.append(u)
+            starts = sorted(starts | chained, key=self._position.__getitem__)
+        stats.packs += 1
+        bound = _pack(dag, free, free_in, free_out, *self._offsets, owner, obs, need, starts)
+        return bound, (owner, obs, free, free_in, free_out)
+
     def _node(self, v: Optional[int], mark: int, parent: Optional[tuple]):
         """Reduce from the vertex ``v`` just labeled (None at the root), then
         prune or record a leaf; the vertex to branch on and this node's
-        packing, or None.
-
-        ``parent`` is the packing ``(count, owner, obs, state)`` of the node
-        that branched on ``v`` and ``mark`` the trail length before ``v``'s
-        label; the module docstring says how the packing is reused and
-        repaired."""
+        packing, or None.  ``parent`` and ``mark`` are as in :meth:`_bound`."""
         stats, trace = self.stats, self._trace
         stats.nodes += 1
         self._reduce(v)
@@ -470,31 +481,7 @@ class Solver:
             if trace is not None:
                 trace(f"prune {size}")
             return None
-        bound, packing = 0, parent
-        if parent is not None:
-            owner = parent[1]
-            deleted = [a for a in self._trail[mark:] if a >= 0]
-            lost = {owner[a] for a in deleted if a in owner}
-            bound = parent[0] - len(lost)
-            if deleted:
-                packing = None
-        if size + bound >= cutoff:
-            stats.reused += 1
-        elif packing is None:
-            stats.packs += 1
-            if parent is None:
-                owner, obs, starts = {}, {}, None
-                state = bytearray(self._alive), self._live_in.copy(), self._live_out.copy()
-            else:
-                stats.repairs += 1
-                owner, obs, state, starts = _repair(
-                    self.dag, parent, deleted, lost, self._alive, self._offsets[1],
-                    self._position,
-                )
-            bound = _pack(
-                self.dag, *state, *self._offsets, owner, obs, cutoff - size, starts
-            )
-            packing = bound, owner, obs, state
+        bound, packing = self._bound(parent, mark, cutoff - size)
         if size + bound >= cutoff:
             stats.pruned += 1
             if trace is not None:

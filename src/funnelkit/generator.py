@@ -298,7 +298,8 @@ def _dimacs_ints(tokens: list[str], line: str) -> list[int]:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Read a DIMACS CNF file (``c`` comments, ``p cnf <n> <m>`` header)."""
+    """Read a DIMACS CNF file (``c`` comments, one ``p cnf <n> <m>`` header
+    ahead of every clause)."""
     num_vars = None
     num_clauses = None
     literals: list[int] = []
@@ -309,6 +310,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("%"):  # SATLIB's end marker, before a last "0" line
             break
         if line.startswith("p"):
+            if num_vars is not None or literals:
+                raise InvalidFormula(f"unexpected header {line!r}")
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise InvalidFormula(f"bad header {line!r}")

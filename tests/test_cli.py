@@ -384,6 +384,18 @@ def _assert_input_error(argv, capsys, tmp_path, needle):
     assert [p.name for p in tmp_path.iterdir() if p.suffix != ".cnf"] == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p cnf 3 1\n1 2 3 0\np cnf 5 1\n", "1 2 3 0\np cnf 3 1\n"],
+    ids=["second-header", "clause-first"],
+)
+def test_generate_cnf_takes_one_header_ahead_of_the_clauses(tmp_path, capsys, text):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_text(text)
+    argv = ["generate", "--cnf", str(cnf), "--out", str(tmp_path / "x")]
+    _assert_input_error(argv, capsys, tmp_path, "unexpected header")
+
+
 def test_generate_rejects_too_many_vertices(tmp_path, capsys):
     # Rejected before the generator allocates; never run at this size.
     argv = ["generate", "--n", "10000001", "--out", str(tmp_path / "x")]

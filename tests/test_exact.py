@@ -1,6 +1,8 @@
 import ast
+import copy
 import hashlib
 import inspect
+import operator
 from collections import Counter, defaultdict, deque
 from pathlib import Path
 
@@ -164,7 +166,8 @@ def reference_bound(dag, alive=None) -> int:
 
 
 def full_pack(dag, owner=None, obs=None, need=None) -> int:
-    """The solver's packing over every arc of ``dag``, without the stars."""
+    """The solver's packing over every arc of ``dag``, without the stars;
+    it records its obstructions in ``owner`` and ``obs`` when given."""
     return _pack(
         dag,
         bytearray(b"\x01") * dag.arc_count,
@@ -172,8 +175,8 @@ def full_pack(dag, owner=None, obs=None, need=None) -> int:
         [dag.out_degree(v) for v in dag.vertices()],
         dag.out_off,
         dag.in_off,
-        owner,
-        obs,
+        {} if owner is None else owner,
+        {} if obs is None else obs,
         need,
     )
 
@@ -262,7 +265,7 @@ def test_solver_bound_on_random_live_masks():
         rest = delete_arcs(dag, [dag.arcs[a] for a in dead])
         live_in = [rest.in_degree(v) for v in dag.vertices()]
         live_out = [rest.out_degree(v) for v in dag.vertices()]
-        bound = _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off)
+        bound = _pack(dag, alive, live_in, live_out, dag.out_off, dag.in_off, {}, {})
         assert bound == full_pack(rest)
         assert bound == reference_bound(dag, set(rest.arcs))
         assert bound <= brute_force_addf(rest).distance
@@ -588,30 +591,70 @@ def test_golden_budgeted_searches_on_large_cells(dag, budget, counters, masked, 
 def test_survivor_prunes_rest_on_live_disjoint_obstructions(monkeypatch):
     # At every prune settled by the parent's packing, the parent's
     # obstructions whose arcs are all still live are checked afresh: each
-    # is an obstruction, they share no arc, and they are the bound traced.
-    node, checked = Solver._node, []
+    # is an obstruction, they share no arc, and they are the bound that the
+    # node's next trace line gives.
+    bound_of, checked, expected = Solver._bound, [], []
 
-    def checking(self, v, mark, parent):
+    def checking(self, parent, mark, need):
         reused = self.stats.reused
-        branch = node(self, v, mark, parent)
+        bound, packing = bound_of(self, parent, mark, need)
         if self.stats.reused > reused:
-            count, _, obs, _ = parent
             arcs = self.dag.arcs
-            assert len(obs) == count
-            survivors = [ids for ids in obs.values() if all(self._alive[a] for a in ids)]
+            survivors = [ids for ids in parent[1].values() if all(self._alive[a] for a in ids)]
+            used = [a for ids in survivors for a in ids]
+            assert len(used) == len(set(used))
             assert all(is_obstruction([arcs[a] for a in ids]) for ids in survivors)
-            assert self._trace.lines[-1] == f"prune {self._deleted}+{len(survivors)}"
-            assert self._deleted + len(survivors) >= self._cutoff
-            checked.append(len(survivors))
-        return branch
+            assert (bound, packing) == (len(survivors), None)
+            assert self._deleted + bound >= self._cutoff
+            expected.append(f"prune {self._deleted}+{bound}")
+            checked.append(bound)
+        return bound, packing
 
-    monkeypatch.setattr(Solver, "_node", checking)
+    def hook(budget):
+        def trace(line):
+            if expected:
+                assert line == expected.pop()
+            budget(line)
+
+        return trace
+
+    monkeypatch.setattr(Solver, "_bound", checking)
     for dag in _golden_dags():
-        Solver(dag, trace=_Budget(10**6)).run()
+        Solver(dag, trace=hook(_Budget(10**6))).run()
     golden = len(checked)
     with pytest.raises(_Stop):
-        Solver(DENSE_CELL, trace=_Budget(200)).run()
+        Solver(DENSE_CELL, trace=hook(_Budget(200))).run()
+    assert not expected
     assert (golden, len(checked) - golden) == (21, 67)
+
+
+def test_a_child_that_deleted_no_arc_gets_its_parents_packing_itself(monkeypatch):
+    # Every child of a budgeted search on the sparse cell, by the packing
+    # _bound gives it: none when the parent's survivors settle its prune,
+    # the parent's record itself (no copy) when its trail since its mark
+    # holds no arc, and otherwise a repaired record that shares nothing
+    # with the parent's.
+    bound_of, kinds = Solver._bound, Counter()
+
+    def checking(self, parent, mark, need):
+        bound, packing = bound_of(self, parent, mark, need)
+        if parent is not None:
+            deleted = any(a >= 0 for a in self._trail[mark:])
+            if packing is None:
+                kinds["survivors"] += 1
+                assert bound >= need
+            elif packing is parent:
+                kinds["kept"] += 1
+                assert not deleted and bound == len(parent[1]) < need
+            else:
+                kinds["repaired"] += 1
+                assert deleted and not any(map(operator.is_, packing, parent))
+        return bound, packing
+
+    monkeypatch.setattr(Solver, "_bound", checking)
+    with pytest.raises(_Stop):
+        Solver(HARD_CELL, trace=_Budget(400)).run()
+    assert kinds == {"survivors": 183, "kept": 19, "repaired": 197}
 
 
 def test_solver_matches_the_labeling_oracle_on_shuffled_dags():
@@ -726,19 +769,20 @@ def test_every_packing_of_a_search_is_a_certificate(monkeypatch):
     assert (packs, repairs, stopped) == (2221, 1580, 2)
 
 
-def test_a_repair_walks_the_chains_into_a_released_tail():
+def test_a_repair_walks_the_chains_into_a_released_tail(monkeypatch):
     # The parent's packing is the one obstruction 2,5 -> 6 -> 8,9, and it
     # is maximal: the chain 3 -> 4 -> 5 -> 7 from the two in-arcs of 3 dies
     # at the sink 7.  Deleting 2->6 loses it and releases 5->6, 6->8 and
     # 6->9, so 5 forks, and the one new obstruction starts at 3, two chain
     # hops above the tail 5 of the released 5->6.  A repair that started
-    # only from the released arcs' heads and tails would miss it.
+    # only from the released arcs' heads and tails would miss it.  The
+    # solver's _bound repairs the packing here, with the deletion of 2->6
+    # as the child's whole trail.
     dag = Dag(10, [(0, 3), (1, 3), (3, 4), (4, 5), (5, 6), (5, 7), (2, 6), (6, 8), (6, 9)])
     assert dag.topo_order == tuple(range(10))
     ids = {arc: a for a, arc in enumerate(dag.arcs)}
     held = [ids[arc] for arc in ((5, 6), (2, 6), (6, 8), (6, 9))]
-    alive = bytearray(b"\x01") * dag.arc_count
-    free = bytearray(alive)
+    free = bytearray(b"\x01") * dag.arc_count
     for a in held:
         free[a] = 0
 
@@ -748,22 +792,34 @@ def test_a_repair_walks_the_chains_into_a_released_tail():
             [sum(mask[a] for a in dag.out_arcs(v)) for v in dag.vertices()],
         )
 
-    parent = 1, dict.fromkeys(held, 1), {1: held}, (free, *degrees(free))
-    check_packing(dag, alive, *parent[1:], complete=True)
-    alive[ids[(2, 6)]] = 0
-    owner, obs, state, starts = exact._repair(
-        dag, parent, [ids[(2, 6)]], {1}, alive, dag.in_off, list(range(10))
-    )
+    solver = Solver(dag)
+    parent = dict.fromkeys(held, 1), {1: held}, free, *degrees(free)
+    check_packing(dag, solver._alive, *parent[:2], parent[2:], complete=True)
+    before = copy.deepcopy(parent)
+    solver._alive[ids[(2, 6)]] = 0
+    solver._trail.append(ids[(2, 6)])
+    seen = []
+
+    def record(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts):
+        seen.append((dict(owner), dict(obs), (bytearray(free), free_in[:], free_out[:]), starts))
+        return _pack(dag, free, free_in, free_out, out_off, in_off, owner, obs, need, starts)
+
+    monkeypatch.setattr(exact, "_pack", record)
+    bound, packing = solver._bound(parent, 0, 2)
+    [(owner, obs, state, starts)] = seen
     assert (owner, obs, starts) == ({}, {}, [0, 1, 3, 4, 5, 6, 8, 9])
-    check_packing(dag, alive, owner, obs, state, complete=False)
+    check_packing(dag, solver._alive, owner, obs, state, complete=False)
     # From the released arcs' heads and tails alone the greedy finds nothing
     # and leaves an obstruction among the free arcs.
     plain = bytearray(state[0]), list(state[1]), list(state[2])
     assert _pack(dag, *plain, dag.out_off, dag.in_off, {}, {}, None, [5, 6, 8, 9]) == 0
     assert reference_bound(dag, {dag.arcs[a] for a in range(dag.arc_count) if plain[0][a]}) == 1
-    assert _pack(dag, *state, dag.out_off, dag.in_off, owner, obs, None, starts) == 1
+    assert bound == 1
+    owner, obs, *state = packing
     assert obs == {1: [ids[arc] for arc in ((3, 4), (4, 5), (5, 6), (5, 7), (0, 3), (1, 3))]}
-    check_packing(dag, alive, owner, obs, state, complete=True)
+    check_packing(dag, solver._alive, owner, obs, state, complete=True)
+    # The repair worked on a copy: the parent's record is as it was.
+    assert parent == before
 
 
 def _guard_skips(dag, v, labels, alive) -> bool:

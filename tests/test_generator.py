@@ -588,6 +588,11 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 1\n1 1 2 0\n")  # repeated variable
     with pytest.raises(InvalidFormula):
         parse_dimacs("p cnf 3 1\n1 2 0\n")  # not three literals
+    # One header, ahead of every clause, as in edge lists.
+    with pytest.raises(InvalidFormula, match="unexpected header"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")  # a second header
+    with pytest.raises(InvalidFormula, match="unexpected header"):
+        parse_dimacs("1 2 3 0\np cnf 3 1\n")  # a clause before the header
     # Integers are ASCII digits with an optional minus sign, as in edge lists.
     for text in (
         "p cnf 1_0 1\n1 2 3 0\n",
